@@ -427,7 +427,6 @@ def _replay_morphisms(af, doc, command) -> list:
 def build_parser() -> _Parser:
     parser = _Parser(prog="minmod", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampling commands")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def alg_cmd(name, fn, **extra):

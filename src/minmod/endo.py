@@ -79,14 +79,12 @@ def generic_ansatz(alg: SullivanAlgebra) -> EndoAnsatz:
     return EndoAnsatz(alg, tuple(rows), images, frozenset(diagonal), by_slot)
 
 
-def _normal_form(p: MPoly) -> MPoly:
-    """Scale so the coefficient of the smallest term key is 1 (for dedup)."""
-    if not p:
-        return p
+def _dedup_key(p: MPoly) -> frozenset:
+    """The terms of a nonzero p scaled so the smallest term key has coefficient 1."""
     lead = p.terms[min(p.terms)]
     if lead == 1:
-        return p
-    return p * (ONE / lead)
+        return frozenset(p.terms.items())
+    return frozenset((k, c / lead) for k, c in p.terms.items())
 
 
 def extract_constraints(alg: SullivanAlgebra, ansatz: EndoAnsatz) -> list:
@@ -101,8 +99,7 @@ def extract_constraints(alg: SullivanAlgebra, ansatz: EndoAnsatz) -> list:
             p = c if isinstance(c, MPoly) else MPoly.const(c)
             if not p:
                 continue
-            nf = _normal_form(p)
-            key = frozenset(nf.terms.items())
+            key = _dedup_key(p)
             if key not in seen:
                 seen.add(key)
                 out.append(p)
@@ -174,58 +171,86 @@ class CaseContext:
 def simplify(constraints, ctx: CaseContext):
     """Reduce without splitting; raises Contradiction for an empty case.
 
-    Repeats three moves until none applies: drop known-nonzero monomial
+    Applies three moves until none applies: drop known-nonzero monomial
     content, zero the single free factor of a pure-monomial constraint, and
-    eliminate unknowns that occur as a bare linear term.
+    eliminate an unknown that occurs as a bare linear term.
+
+    A worklist keeps these invariants, so the result is the one a full
+    re-scan after every move would give:
+
+    - each live constraint keeps its input position, and the result lists
+      the live constraints in position order;
+    - every live constraint is substituted, cleaned of known-nonzero content
+      and keyed; a move re-processes only the positions that mention the
+      unknown it removes;
+    - of two constraints with the same dedup key, the earlier position stays;
+    - a constraint that cleans to a nonzero constant refutes the case;
+    - the next move zeroes at the lowest zeroable position; only when there
+      is none does it eliminate at the lowest position with a bare linear
+      unknown.
     """
-    work = [ctx.normalize(p) for p in constraints]
-    pending: dict = {}  # incremental substitutions not yet pushed into work
-    changed = True
-    while changed:
-        changed = False
-        cleaned = []
-        seen = set()
-        for p in work:
-            p = p.substitute(pending)
-            if not p:
-                continue
-            c = p.constant_value()
-            if c is not None:
-                raise Contradiction(f"0 = {c}")
-            content = {v: e for v, e in p.monomial_content().items() if v in ctx.nonzeros}
-            if content:
-                p = p.divide_monomial(content)
-            key = frozenset(_normal_form(p).terms.items())
-            if key not in seen:
-                seen.add(key)
-                cleaned.append(p)
-        work = cleaned
-        pending = {}
-        for p in work:
-            sm = p.as_single_monomial()
-            if sm is None:
-                continue
-            free = [v for v in sm[1] if v not in ctx.nonzeros]
-            if not free:
-                raise Contradiction(str(p))
-            if len(free) == 1:
-                ctx = ctx.with_zero(free[0])
-                pending[free[0]] = MPoly()
-                changed = True
-                break
-        if changed:
-            continue
-        for p in work:
-            bl = p.bare_linear_var()
-            if bl is not None:
-                v, c = bl
-                value = p.eliminate(v, c)
-                ctx = ctx.with_sub(v, value)
-                pending[v] = value
-                work.remove(p)
-                changed = True
-                break
-    return work, ctx
+    nonzeros = ctx.nonzeros
+    live: dict = {}      # position -> cleaned constraint
+    key_of: dict = {}    # position -> dedup key
+    owner: dict = {}     # dedup key -> position
+    index: dict = {}     # unknown -> positions that mention it
+    zeroable = set()     # single monomials in one unknown
+    linear = set()       # constraints with a bare linear unknown
+
+    def drop(i):
+        p = live.pop(i)
+        del owner[key_of.pop(i)]
+        for v in p.variables():
+            index[v].discard(i)
+        zeroable.discard(i)
+        linear.discard(i)
+        return p
+
+    def place(i, p):
+        if not p:
+            return
+        content = {v: e for v, e in p.monomial_content().items() if v in nonzeros}
+        if content:
+            p = p.divide_monomial(content)
+        c = p.constant_value()
+        if c is not None:
+            raise Contradiction(f"0 = {c}")
+        key = _dedup_key(p)
+        q = owner.get(key)
+        if q is not None:
+            if q < i:
+                return
+            drop(q)
+        live[i] = p
+        key_of[i] = key
+        owner[key] = i
+        names = p.variables()
+        for v in names:
+            index.setdefault(v, set()).add(i)
+        # content division leaves no known-nonzero unknown in a monomial
+        if len(p.terms) == 1 and len(names) == 1:
+            zeroable.add(i)
+        if p.bare_linear_var() is not None:
+            linear.add(i)
+
+    for i, p in enumerate(constraints):
+        place(i, ctx.normalize(p))
+    while zeroable or linear:
+        if zeroable:
+            v, = live[min(zeroable)].variables()
+            value = MPoly()
+            ctx = ctx.with_zero(v)
+        else:
+            p = drop(min(linear))
+            v, c = p.bare_linear_var()
+            value = p.eliminate(v, c)
+            ctx = ctx.with_sub(v, value)
+        touched = sorted(index[v])
+        old = [drop(i) for i in touched]
+        del index[v]
+        for i, p in zip(touched, old):
+            place(i, p.substitute({v: value}))
+    return [live[i] for i in sorted(live)], ctx
 
 
 # -- sympy-backed factoring ------------------------------------------------
@@ -307,6 +332,13 @@ def to_monomial_equation(p: MPoly):
     return MonomialEquation(tuple(sorted((v, e) for v, e in exps.items() if e)), -c2 / c1)
 
 
+SIGN_BITS_CAP = 12  # free sign bits enumerated at most: 4096 sign vectors
+
+
+class EnumerationCap(Exception):
+    """Too many solutions to enumerate; the case must stay unresolved."""
+
+
 @dataclass
 class MonomialSolutions:
     finite: bool
@@ -315,7 +347,11 @@ class MonomialSolutions:
 
 
 def _gf2_enumerate(rows, rhs, variables):
-    """All sign vectors (dicts var -> +-1) solving the GF(2) system."""
+    """All sign vectors (dicts var -> +-1) solving the GF(2) system.
+
+    None when the system is inconsistent; EnumerationCap when more than
+    SIGN_BITS_CAP sign bits are free.
+    """
     n = len(variables)
     index = {v: i for i, v in enumerate(variables)}
     masks = []
@@ -341,8 +377,8 @@ def _gf2_enumerate(rows, rhs, variables):
             continue
         pivots[mask.bit_length() - 1] = (mask, b)
     free = [j for j in range(n) if j not in pivots]
-    if len(free) > 12:
-        return None
+    if len(free) > SIGN_BITS_CAP:
+        raise EnumerationCap("sign-enumeration cap")
     out = []
     for sel in range(1 << len(free)):
         vec = 0
@@ -380,7 +416,8 @@ def solve_monomial_system(eqs) -> MonomialSolutions:
 
     Magnitudes: the exponent matrix acts on valuation vectors; a trivial
     rational kernel pins every magnitude (one linear solve per prime dividing
-    a constant).  Signs: the same matrix over GF(2).
+    a constant).  Signs: the same matrix over GF(2); raises EnumerationCap
+    when they are too many to enumerate.
     """
     eqs = [e for e in eqs or []]
     variables = sorted({v for eq in eqs for v, _ in eq.exps})
@@ -583,7 +620,6 @@ class DegreeSpectrumVerdict:
     complete: bool
     leaves: tuple
     extracted: tuple             # raw constraint polynomials
-    root_constraints: tuple      # constraints after the splitting-free reduction
     config: SolverConfig
 
     def describe(self) -> str:
@@ -635,7 +671,7 @@ class _Explorer:
             factors = [f for f in factor_constraint(p) if f.variables()]
             if not factors:
                 return []
-            if len(factors) == 1 and _normal_form(factors[0]) == _normal_form(p):
+            if len(factors) == 1 and _dedup_key(factors[0]) == _dedup_key(p):
                 continue
             rest = [q for q in work if q is not p]
             out = []
@@ -668,7 +704,11 @@ class _Explorer:
         lam = volume_degree_polynomial(self.alg, self.ansatz, self.vol, ctx)
         solutions = ({},)
         if eqs:
-            sols = solve_monomial_system(eqs)
+            try:
+                sols = solve_monomial_system(eqs)
+            except EnumerationCap as cap:
+                return CaseLeaf(ctx.assumptions, False,
+                                residual=tuple(str(p) for p in work) + (str(cap),))
             if not sols.finite:
                 return CaseLeaf(ctx.assumptions, False,
                                 residual=tuple(str(p) for p in work) + ("free multiplicative kernel",))
@@ -805,10 +845,6 @@ def degree_spectrum(alg: SullivanAlgebra, vol: VolumeForm,
     """
     ansatz = generic_ansatz(alg)
     extracted = extract_constraints(alg, ansatz)
-    try:
-        root, _ = simplify(list(extracted), CaseContext())
-    except Contradiction:
-        root = []
     explorer = _Explorer(alg, ansatz, vol, config)
     leaves = explorer.run(extracted)
     complete = not explorer.capped and all(leaf.resolved for leaf in leaves)
@@ -832,4 +868,4 @@ def degree_spectrum(alg: SullivanAlgebra, vol: VolumeForm,
         classification = "Inconclusive"
     return DegreeSpectrumVerdict(classification, tuple(constants), tuple(families),
                                  flexible, complete, tuple(leaves),
-                                 tuple(extracted), tuple(root), config)
+                                 tuple(extracted), config)

@@ -211,22 +211,26 @@ class MPoly:
         """Substitute variables by MPoly/Fraction values (others untouched)."""
         if not any(v in assignment for k in self.terms for v, _ in k):
             return self
-        out = MPoly()
+        out: dict = {}
         for k, c in self.terms.items():
             if not any(v in assignment for v, _ in k):
-                out = out + MPoly({k: c})
-                continue
-            term = MPoly.const(c)
-            for v, e in k:
-                if v in assignment:
-                    val = assignment[v]
-                    if not isinstance(val, MPoly):
-                        val = MPoly.const(val)
-                    term = term * val ** e
+                term = {k: c}
+            else:
+                rest = tuple((v, e) for v, e in k if v not in assignment)
+                prod = MPoly({rest: c})
+                for v, e in k:
+                    if v in assignment:
+                        val = self._coerce(assignment[v])
+                        for _ in range(e):
+                            prod = prod * val
+                term = prod.terms
+            for k2, c2 in term.items():
+                s = out.get(k2, ZERO) + c2
+                if s:
+                    out[k2] = s
                 else:
-                    term = term * MPoly.var(v, e)
-            out = out + term
-        return out
+                    del out[k2]
+        return MPoly(out)
 
     def __str__(self):
         if not self.terms:

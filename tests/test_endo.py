@@ -6,9 +6,10 @@ import pytest
 
 from conftest import built, certified
 from minmod.dsl import parse_morphism
-from minmod.endo import (CaseContext, Contradiction, MonomialEquation,
-                         SolverConfig, degree_spectrum, extract_constraints,
-                         generic_ansatz, morphism_from_assignment, simplify,
+from minmod.endo import (CaseContext, Contradiction, EnumerationCap,
+                         MonomialEquation, SolverConfig, _Explorer,
+                         degree_spectrum, extract_constraints, generic_ansatz,
+                         morphism_from_assignment, simplify,
                          solve_monomial_system, to_monomial_equation,
                          verify_morphism)
 from minmod.linalg import LinearSolver
@@ -117,6 +118,30 @@ def test_monomial_system_free_kernel():
     assert not sols.finite and sols.free_directions
 
 
+def _unit_squares(n):
+    """The polynomials s_i^2 - 1: every sign of every s_i solves them."""
+    return [MPoly.var(f"s{i}") ** 2 - 1 for i in range(1, n + 1)]
+
+
+def test_monomial_system_sign_cap_is_not_an_empty_set():
+    eqs = [to_monomial_equation(p) for p in _unit_squares(12)]
+    sols = solve_monomial_system(eqs)
+    assert sols.finite and len(sols.solutions) == 4096
+    eqs = [to_monomial_equation(p) for p in _unit_squares(13)]
+    with pytest.raises(EnumerationCap):
+        solve_monomial_system(eqs)
+
+
+def test_sign_cap_leaves_the_case_unresolved():
+    af, cert, vol = certified("sphere", k=6)
+    explorer = _Explorer(af.algebra, generic_ansatz(af.algebra), vol, SolverConfig())
+    work = _unit_squares(13)
+    ctx = CaseContext(nonzeros=frozenset(f"s{i}" for i in range(1, 14)))
+    leaf = explorer._leaf(work, ctx)
+    assert not leaf.resolved and not leaf.degrees
+    assert leaf.residual[-1] == "sign-enumeration cap"
+
+
 def _mono_poly(exps):
     p = MPoly.const(Fraction(1))
     for v, e in exps.items():
@@ -163,6 +188,16 @@ def test_spectrum_flexible_cases():
     af, cert, vol = certified("sphere", k=6)
     v = degree_spectrum(af.algebra, vol)
     assert v.classification == "Flexible"
+
+
+def test_spectrum_chiral2_polynomial_family():
+    # the achievable degrees form the family p(t) = t^38 - t^29 + t^28 - t^19,
+    # which takes negative values, plus the constant map
+    af, cert, vol = certified("chiral2", l=4)
+    v = degree_spectrum(af.algebra, vol)
+    assert v.classification == "Flexible" and v.complete
+    assert set(v.spectrum) == {0}
+    assert [f.describe() for f in v.families] == ["t^38 - t^29 + t^28 - t^19"]
 
 
 def test_spectrum_chiral1_flexible_with_negative_witness():

@@ -8,10 +8,15 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from conftest import built
+from minmod import cli
 from minmod.cohomology import betti_table, is_exact
+from minmod.endo import (CaseContext, Contradiction, extract_constraints,
+                         generic_ansatz, simplify)
 from minmod.gca import Element
 from minmod.linalg import LinearSolver
-from minmod.sullivan import dimension_formula, extend_derivation
+from minmod.poly import MPoly
+from minmod.sullivan import (dimension_formula, ellipticity_certificate,
+                             extend_derivation, tensor_product)
 
 SETTINGS = dict(derandomize=True, deadline=None, max_examples=60)
 
@@ -164,3 +169,105 @@ def test_basis_counts_match_series_oracle():
         coeff = _hilbert_coefficients(alg.generators, bound)
         for n in range(1, bound):
             assert len(alg.basis_of_degree(n)) == coeff.get(n, 0), (key, n)
+
+
+def _restart_simplify(constraints, ctx):
+    """Reference: the simplify that re-scanned every constraint after each move."""
+    work = [ctx.normalize(p) for p in constraints]
+    pending: dict = {}
+    changed = True
+    while changed:
+        changed = False
+        cleaned, seen = [], set()
+        for p in work:
+            p = p.substitute(pending)
+            if not p:
+                continue
+            c = p.constant_value()
+            if c is not None:
+                raise Contradiction(f"0 = {c}")
+            content = {v: e for v, e in p.monomial_content().items() if v in ctx.nonzeros}
+            if content:
+                p = p.divide_monomial(content)
+            key = frozenset((p * (Fraction(1) / p.terms[min(p.terms)])).terms.items())
+            if key not in seen:
+                seen.add(key)
+                cleaned.append(p)
+        work, pending = cleaned, {}
+        for p in work:
+            sm = p.as_single_monomial()
+            if sm is None:
+                continue
+            free = [v for v in sm[1] if v not in ctx.nonzeros]
+            if not free:
+                raise Contradiction(str(p))
+            if len(free) == 1:
+                ctx = ctx.with_zero(free[0])
+                pending[free[0]] = MPoly()
+                changed = True
+                break
+        if changed:
+            continue
+        for p in work:
+            bl = p.bare_linear_var()
+            if bl is not None:
+                value = p.eliminate(*bl)
+                ctx = ctx.with_sub(bl[0], value)
+                pending[bl[0]] = value
+                work.remove(p)
+                changed = True
+                break
+    return work, ctx
+
+
+UNKNOWNS = [f"k{i}" for i in range(1, 9)]
+
+
+@st.composite
+def small_poly(draw):
+    terms = draw(st.lists(st.tuples(
+        st.dictionaries(st.sampled_from(UNKNOWNS), st.integers(1, 2), max_size=3),
+        st.integers(-3, 3).filter(bool)), min_size=1, max_size=4))
+    p = MPoly()
+    for exps, c in terms:
+        p = p + MPoly.monomial(exps, c)
+    return p
+
+
+@st.composite
+def constraint_system(draw):
+    polys = draw(st.lists(small_poly(), max_size=10))
+    if len(polys) >= 2 and draw(st.booleans()):
+        # a scaled copy exercises the rule for colliding dedup keys
+        i, j = draw(st.lists(st.integers(0, len(polys) - 1), min_size=2, max_size=2,
+                             unique=True))
+        polys[j] = polys[i] * draw(st.sampled_from([Fraction(-1), Fraction(2, 3)]))
+    nonzeros = draw(st.frozensets(st.sampled_from(UNKNOWNS), max_size=4))
+    return polys, CaseContext(nonzeros=nonzeros)
+
+
+def _outcome(fn, polys, ctx):
+    try:
+        return fn(list(polys), ctx)
+    except Contradiction:
+        return "contradiction"
+
+
+@settings(**dict(SETTINGS, max_examples=400))
+@given(constraint_system())
+def test_worklist_simplify_matches_restart_loop(system):
+    # the same work list in the same order and an equal CaseContext
+    # (zeros, nonzeros, substitutions in order, assumptions), or both refuse
+    polys, ctx = system
+    assert _outcome(simplify, polys, ctx) == _outcome(_restart_simplify, polys, ctx)
+
+
+def test_root_simplify_of_chiral3_square_is_pinned():
+    a = cli.load_algebra("chiral3(l=5)")
+    cert = ellipticity_certificate(a.algebra)
+    prod = tensor_product(a.algebra, a.algebra, cert, cert, a.volume, a.volume)
+    cons = extract_constraints(prod, generic_ansatz(prod))
+    work, ctx = simplify(cons, CaseContext())
+    assert (len(cons), len(work), len(ctx.zeros), len(ctx.subs)) == (370, 50, 150, 12)
+    assert [v for v, _ in ctx.subs] == ["k9", "k8", "k11", "k10", "k41", "k40",
+                                        "k93", "k94", "k95", "k99", "k125", "k130"]
