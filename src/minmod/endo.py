@@ -19,7 +19,7 @@ from fractions import Fraction
 import sympy
 
 from .cohomology import VolumeForm, top_class_coefficient
-from .gca import Element, StructureError
+from .gca import Element, StructureError, within
 from .linalg import Inconsistent, LinearSolver
 from .poly import MPoly
 from .sullivan import SullivanAlgebra, apply_algebra_map, extend_derivation
@@ -469,24 +469,29 @@ def solve_monomial_system(eqs) -> MonomialSolutions:
 # -- mapping degree of the ansatz ------------------------------------------
 
 
-def substituted_images(ansatz: EndoAnsatz, ctx: CaseContext) -> dict:
-    out = {}
-    for name, img in ansatz.images.items():
-        out[name] = img.map_coefficients(ctx.normalize)
-    return out
-
-
 def volume_degree_polynomial(alg: SullivanAlgebra, ansatz: EndoAnsatz,
                              vol: VolumeForm, ctx: CaseContext) -> MPoly:
-    """The mapping degree of the ansatz under the case's substitutions.
+    """The mapping degree phi(f(vol)) of the ansatz under the case's substitutions.
 
-    The separating functional reads the degree off f(vol) directly; unknowns
-    multiplying closed complements contribute exact terms that the functional
+    The separating functional phi reads the degree off f(vol) directly;
+    unknowns multiplying closed complements contribute exact terms that phi
     kills, so the result only involves genuinely free survivors.
+
+    Only the support box is expanded: the componentwise maximum exponent over
+    the monomials where phi is nonzero.  Image terms outside the box are
+    dropped before normalizing, and f(vol) is multiplied out one generator
+    factor at a time, dropping every partial-product term that leaves the box.
+    This is exact: exponents only grow under multiplication, so a dropped
+    term never reaches a monomial where phi is nonzero, and ``ctx.normalize``
+    is a ring map, so normalizing the images before multiplying gives the
+    same polynomial as normalizing after.
     """
-    images = substituted_images(ansatz, ctx)
-    fvol = apply_algebra_map(alg, images, vol.representative)
-    lam = vol.functional.apply(fvol)
+    box = tuple(map(max, zip(*vol.functional.phi)))
+    images = {}
+    for name, img in ansatz.images.items():
+        images[name] = alg.free.element({m: ctx.normalize(c) for m, c in img.terms.items()
+                                         if within(m, box)})
+    lam = vol.functional.apply(apply_algebra_map(alg, images, vol.representative, box))
     return lam if isinstance(lam, MPoly) else MPoly.const(lam)
 
 
@@ -670,7 +675,8 @@ class _Explorer:
         for p in blocking:
             factors = [f for f in factor_constraint(p) if f.variables()]
             if not factors:
-                return []
+                return [CaseLeaf(ctx.assumptions, False,
+                                 residual=tuple(str(q) for q in work) + ("no nonconstant factor",))]
             if len(factors) == 1 and _dedup_key(factors[0]) == _dedup_key(p):
                 continue
             rest = [q for q in work if q is not p]

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import le
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -163,6 +164,11 @@ def _even_fills(degrees, target):
             yield (e,) + tail
 
 
+def within(mono, box) -> bool:
+    """Whether every exponent of ``mono`` is at most the matching one of ``box``."""
+    return all(map(le, mono, box))
+
+
 def _coeff(c):
     if isinstance(c, int):
         return Fraction(c)
@@ -228,7 +234,9 @@ class Element:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other):
+    def mul(self, other, box=None):
+        """The product; with an exponent tuple ``box``, only the terms
+        :func:`within` it, skipping the coefficient products of the others."""
         if isinstance(other, Element):
             self._check(other)
             terms: dict = {}
@@ -239,6 +247,8 @@ class Element:
                     if sm is None:
                         continue
                     sign, m = sm
+                    if box is not None and not within(m, box):
+                        continue
                     c = c1 * c2
                     if sign < 0:
                         c = -c
@@ -249,6 +259,8 @@ class Element:
                         terms.pop(m, None)
             return Element(self.alg, terms)
         return self.scale(other)
+
+    __mul__ = mul
 
     def __rmul__(self, other):
         return self.scale(other)

@@ -63,13 +63,6 @@ class SullivanAlgebra:
         return max(g.degree for g in self.generators)
 
 
-def build_algebra(generators, diff_builder=None, name="") -> SullivanAlgebra:
-    """Construct an algebra from generators and a builder ``free -> {name: d}``."""
-    free = FreeGCA(generators)
-    diff = diff_builder(free) if diff_builder else {}
-    return SullivanAlgebra(free, diff, name=name)
-
-
 def extend_derivation(alg: SullivanAlgebra, e: Element) -> Element:
     """The unique degree +1 derivation extending the generator differentials."""
     free = alg.free
@@ -122,11 +115,16 @@ def check_minimality(alg: SullivanAlgebra) -> CheckReport:
     return CheckReport(not failures, failures)
 
 
-def apply_algebra_map(target: SullivanAlgebra, images: dict, e: Element) -> Element:
+def apply_algebra_map(target: SullivanAlgebra, images: dict, e: Element, box=None) -> Element:
     """Extend a generator assignment multiplicatively to an element.
 
     ``images`` maps generator names of ``e``'s algebra to Elements of
-    ``target``; Koszul signs come out of Element multiplication.
+    ``target``; Koszul signs come out of Element multiplication.  Each term
+    of ``e`` is multiplied out one generator factor at a time.  With an
+    exponent tuple ``box`` of ``target``, every partial product keeps only
+    its terms within the box, so the result is exactly the terms of the full
+    image within the box: exponents only grow under multiplication, so a
+    dropped term never leads back into it.
     """
     src = e.alg
     out = target.free.zero()
@@ -137,7 +135,8 @@ def apply_algebra_map(target: SullivanAlgebra, images: dict, e: Element) -> Elem
                 name = src.generators[i].name
                 if name not in images:
                     raise StructureError(f"no image for generator {name}")
-                term = term * images[name] ** exp
+                for _ in range(exp):
+                    term = term.mul(images[name], box)
         out = out + term
     return out
 
@@ -279,7 +278,6 @@ def tensor_product(a: SullivanAlgebra, b: SullivanAlgebra,
     prod.embed_left = embed_left
     prod.embed_right = embed_right
     prod.embedded_name = lambda factor, nm: rename(nm, 1 if factor is a else 2)
-    prod.factor_split = (na, nb)
     return prod
 
 

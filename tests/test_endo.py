@@ -4,16 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import built, certified
+from conftest import ALL_KEYS, built, certified
+from minmod import endo
+from minmod.cohomology import verify_volume_form
 from minmod.dsl import parse_morphism
 from minmod.endo import (CaseContext, Contradiction, EnumerationCap,
                          MonomialEquation, SolverConfig, _Explorer,
                          degree_spectrum, extract_constraints, generic_ansatz,
                          morphism_from_assignment, simplify,
                          solve_monomial_system, to_monomial_equation,
-                         verify_morphism)
+                         verify_morphism, volume_degree_polynomial)
 from minmod.linalg import LinearSolver
 from minmod.poly import MPoly
+from minmod.sullivan import apply_algebra_map, ellipticity_certificate, tensor_product
 
 ONE = Fraction(1)
 
@@ -224,7 +227,6 @@ def test_spectrum_deterministic():
 
 
 def test_verify_morphism_identity_all_catalog():
-    from conftest import ALL_KEYS
     for key, params in ALL_KEYS:
         af, cert, vol = certified(key, **params)
         identity = {g.name: af.algebra.gen(g.name) for g in af.algebra.generators}
@@ -244,3 +246,57 @@ def test_budget_cap_degrades_to_inconclusive():
     v = degree_spectrum(af.algebra, vol, SolverConfig(case_depth=1, node_budget=3))
     assert v.classification == "Inconclusive"
     assert not v.complete
+
+
+def _full_expansion_degree(alg, ansatz, vol, ctx):
+    """phi(f(vol)) with every image term normalized and f(vol) expanded in full."""
+    images = {n: img.map_coefficients(ctx.normalize) for n, img in ansatz.images.items()}
+    lam = vol.functional.apply(apply_algebra_map(alg, images, vol.representative))
+    return lam if isinstance(lam, MPoly) else MPoly.const(lam)
+
+
+def test_pruned_degree_matches_full_expansion_at_catalog_roots():
+    for key, params in ALL_KEYS:
+        af, cert, vol = certified(key, **params)
+        ansatz = generic_ansatz(af.algebra)
+        ctx = CaseContext()
+        assert volume_degree_polynomial(af.algebra, ansatz, vol, ctx) == \
+            _full_expansion_degree(af.algebra, ansatz, vol, ctx), key
+
+
+@pytest.mark.parametrize("left,right", [
+    (("chiral3", {"l": 5}), ("chiral3", {"l": 5})),
+    (("chiral2", {"l": 4}), ("lower-grading", {})),
+    (("lower-grading", {}), ("lower-grading", {})),
+], ids=["chiral3xchiral3", "chiral2xlower-grading", "lower-gradingxlower-grading"])
+def test_pruned_degree_matches_full_expansion_on_product_case_trees(monkeypatch, left, right):
+    a, cert_a, _ = certified(left[0], **left[1])
+    b, cert_b, _ = certified(right[0], **right[1])
+    prod = tensor_product(a.algebra, b.algebra, cert_a, cert_b, a.volume, b.volume)
+    pv = prod.embed_left(a.volume) * prod.embed_right(b.volume)
+    pvol = verify_volume_form(prod, pv, ellipticity_certificate(prod))
+    reached = []
+
+    def recording_simplify(constraints, ctx):
+        work, ctx = simplify(constraints, ctx)
+        reached.append(ctx)
+        return work, ctx
+
+    monkeypatch.setattr(endo, "simplify", recording_simplify)
+    degree_spectrum(prod, pvol, SolverConfig(node_budget=400))
+    assert len(reached) > 1
+    ansatz = generic_ansatz(prod)
+    for ctx in reached:
+        assert volume_degree_polynomial(prod, ansatz, pvol, ctx) == \
+            _full_expansion_degree(prod, ansatz, pvol, ctx), ctx.assumptions
+
+
+def test_constant_factors_leave_the_case_unresolved(monkeypatch):
+    # lower-grading reaches the factor step; with only constant factors the
+    # case must stay open instead of dropping out as "no solutions"
+    af, cert, vol = certified("lower-grading")
+    monkeypatch.setattr(endo, "factor_constraint", lambda p: [MPoly.const(2)])
+    v = degree_spectrum(af.algebra, vol)
+    assert v.classification == "Inconclusive" and not v.complete
+    assert any(leaf.residual[-1:] == ("no nonconstant factor",)
+               for leaf in v.leaves if not leaf.resolved)

@@ -12,7 +12,7 @@ from minmod import cli
 from minmod.cohomology import betti_table, is_exact
 from minmod.endo import (CaseContext, Contradiction, extract_constraints,
                          generic_ansatz, simplify)
-from minmod.gca import Element
+from minmod.gca import Element, within
 from minmod.linalg import LinearSolver
 from minmod.poly import MPoly
 from minmod.sullivan import (dimension_formula, ellipticity_certificate,
@@ -92,6 +92,21 @@ def test_exactness_witness_replay(w):
     assert witness is not None
     assert witness.replay(alg)
     assert extend_derivation(alg, witness.preimage) == e
+
+
+def _truncate(e, box):
+    return Element(e.alg, {m: c for m, c in e.terms.items() if within(m, box)})
+
+
+@settings(**SETTINGS)
+@given(element(40), element(40), st.tuples(*[st.integers(0, 10)] * 7))
+def test_product_truncates_factorwise(a, b, box):
+    # exponents only grow under multiplication, so terms outside the box
+    # (one bound per generator of lemma(i=0)) never contribute to the
+    # product's terms inside it
+    expected = _truncate(a * b, box)
+    assert _truncate(_truncate(a, box) * _truncate(b, box), box) == expected
+    assert a.mul(b, box) == expected
 
 
 @st.composite
