@@ -8,8 +8,12 @@ Usage: python scripts/catalog_survey.py [--case-depth N]
 """
 
 import argparse
+import os
 import sys
 import time
+
+# run from a checkout without installing: minmod lives in ../src
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from minmod import catalog
 from minmod.cohomology import verify_volume_form

@@ -11,7 +11,11 @@ negative-degree ones.
 Usage: python scripts/orientation_reversal_witness.py [key] [NAME=INT ...]
 """
 
+import os
 import sys
+
+# run from a checkout without installing: minmod lives in ../src
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
 from minmod.catalog import build
 from minmod.cohomology import verify_volume_form

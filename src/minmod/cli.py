@@ -239,6 +239,10 @@ def cmd_spectrum(args) -> int:
     lines = [verdict.describe(),
              f"complete case analysis: {verdict.complete}",
              f"verified witnesses: {len(witnesses)}"]
+    unresolved = next((leaf for leaf in verdict.leaves if not leaf.resolved), None)
+    if unresolved is not None:
+        trail = ", ".join(unresolved.assumptions) or "no assumptions"
+        lines.append(f"first unresolved case: {trail} -- {unresolved.residual[-1]}")
     v = "inconclusive" if verdict.classification == "Inconclusive" else "pass"
     return _report(args, "spectrum", af, v, lines, {
         "classification": verdict.classification,

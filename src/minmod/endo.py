@@ -257,27 +257,31 @@ def simplify(constraints, ctx: CaseContext):
 
 
 def _to_sympy(p: MPoly):
-    expr = sympy.Integer(0)
-    for k, c in p.terms.items():
-        t = sympy.Rational(c.numerator, c.denominator)
-        for v, e in k:
-            t = t * sympy.Symbol(v) ** e
-        expr = expr + t
-    return expr
+    # one flat Add: adding term by term costs time quadratic in the term count
+    return sympy.Add(*(sympy.Mul(sympy.Rational(c.numerator, c.denominator),
+                                 *(sympy.Symbol(v) ** e for v, e in k))
+                       for k, c in p.terms.items()))
 
 
 def _from_sympy(expr) -> MPoly:
     expr = sympy.expand(expr)
-    out = MPoly()
+    out: dict = {}
     for term in expr.as_ordered_terms():
         coeff, factors = term.as_coeff_Mul()
         q = Fraction(int(sympy.numer(coeff)), int(sympy.denom(coeff)))
         exps = {}
         for f in sympy.Mul.make_args(factors):
+            if f.is_Number:  # the 1 left by as_coeff_Mul on a constant term
+                continue
             base, e = f.as_base_exp()
             exps[str(base)] = exps.get(str(base), 0) + int(e)
-        out = out + MPoly.monomial(exps, q)
-    return out
+        key = tuple(sorted((v, e) for v, e in exps.items() if e))
+        s = out.get(key, ZERO) + q
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return MPoly(out)
 
 
 def factor_constraint(p: MPoly) -> list:
@@ -613,7 +617,12 @@ class CaseLeaf:
     degrees: tuple = ()          # constant degrees achieved in this case
     families: tuple = ()         # DegreeFamily entries
     witnesses: tuple = ()        # (ConcreteMorphism, degree) evidence
-    residual: tuple = ()         # unreduced constraints when unresolved
+    residual: tuple = ()         # unresolved: unreduced constraints, then the reason
+
+
+def _open_leaf(ctx, polys, reason) -> CaseLeaf:
+    """An unresolved leaf whose residual ends in the reason it stays open."""
+    return CaseLeaf(ctx.assumptions, False, residual=tuple(map(str, polys)) + (reason,))
 
 
 @dataclass
@@ -645,6 +654,7 @@ class _Explorer:
         self.cfg = cfg
         self.nodes = 0
         self.capped = False
+        self.factors = {}  # blocking polynomial -> its nonconstant factors
 
     def run(self, constraints):
         return self._explore(constraints, CaseContext(), 0)
@@ -653,7 +663,7 @@ class _Explorer:
         self.nodes += 1
         if self.nodes > self.cfg.node_budget:
             self.capped = True
-            return [CaseLeaf(ctx.assumptions, False, residual=("node budget exceeded",))]
+            return [_open_leaf(ctx, (), "node budget exceeded")]
         try:
             work, ctx = simplify(constraints, ctx)
         except Contradiction:
@@ -665,18 +675,18 @@ class _Explorer:
             return [self._leaf(work, ctx)]
         if depth >= self.cfg.case_depth:
             self.capped = True
-            return [CaseLeaf(ctx.assumptions, False,
-                             residual=tuple(str(p) for p in blocking))]
+            return [_open_leaf(ctx, blocking, "case depth exceeded")]
         split = self._split_variable(blocking, ctx)
         if split is not None:
             out = self._explore(work, ctx.with_zero(split), depth + 1)
             out += self._explore(work, ctx.with_nonzero(split), depth + 1)
             return out
         for p in blocking:
-            factors = [f for f in factor_constraint(p) if f.variables()]
+            factors = self.factors.get(p)
+            if factors is None:
+                factors = self.factors[p] = [f for f in factor_constraint(p) if f.variables()]
             if not factors:
-                return [CaseLeaf(ctx.assumptions, False,
-                                 residual=tuple(str(q) for q in work) + ("no nonconstant factor",))]
+                return [_open_leaf(ctx, work, "no nonconstant factor")]
             if len(factors) == 1 and _dedup_key(factors[0]) == _dedup_key(p):
                 continue
             rest = [q for q in work if q is not p]
@@ -693,7 +703,7 @@ class _Explorer:
         c = reduced.constant_value()
         if c is not None:
             return CaseLeaf(ctx.assumptions, True, (c,))
-        return CaseLeaf(ctx.assumptions, False, residual=tuple(str(p) for p in work))
+        return _open_leaf(ctx, work, "degree not constant on the case")
 
     def _split_variable(self, blocking, ctx):
         allowed = set(self.ansatz.diagonal)
@@ -713,11 +723,9 @@ class _Explorer:
             try:
                 sols = solve_monomial_system(eqs)
             except EnumerationCap as cap:
-                return CaseLeaf(ctx.assumptions, False,
-                                residual=tuple(str(p) for p in work) + (str(cap),))
+                return _open_leaf(ctx, work, str(cap))
             if not sols.finite:
-                return CaseLeaf(ctx.assumptions, False,
-                                residual=tuple(str(p) for p in work) + ("free multiplicative kernel",))
+                return _open_leaf(ctx, work, "free multiplicative kernel")
             solutions = sols.solutions
         degrees = []
         families = []
@@ -726,7 +734,7 @@ class _Explorer:
             lam_s = lam.substitute(sol) if sol else lam
             closed = self._close_out(ctx, lam_s, fixed=sol)
             if closed is None:
-                return CaseLeaf(ctx.assumptions, False, residual=(str(lam_s),))
+                return _open_leaf(ctx, (lam_s,), "degree outside the supported fragment")
             degrees += closed[0]
             families += closed[1]
             witnesses += closed[2]

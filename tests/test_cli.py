@@ -92,6 +92,18 @@ def test_spectrum_case_depth_inconclusive(capsys):
     assert code == INCONCLUSIVE
 
 
+def test_spectrum_text_names_why_it_is_incomplete(capsys):
+    code, out, _ = run(capsys, "spectrum", "lemma(i=0)", "--case-depth", "1")
+    assert code == INCONCLUSIVE
+    assert out.splitlines()[-1] == \
+        "first unresolved case: k6 = 0, k34 = 0, k1 != 0 -- case depth exceeded"
+    code, doc = run_json(capsys, "spectrum", "lemma(i=0)", "--case-depth", "1")
+    assert code == INCONCLUSIVE and not doc["complete"]
+    assert "first unresolved case" not in json.dumps(doc)
+    code, out, _ = run(capsys, "spectrum", "lemma(i=0)")
+    assert code == PASS and "unresolved" not in out
+
+
 def test_flex_pass(capsys):
     code, doc = run_json(capsys, "flex", "lower-grading")
     assert code == PASS

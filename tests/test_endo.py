@@ -10,8 +10,8 @@ from minmod.cohomology import verify_volume_form
 from minmod.dsl import parse_morphism
 from minmod.endo import (CaseContext, Contradiction, EnumerationCap,
                          MonomialEquation, SolverConfig, _Explorer,
-                         degree_spectrum, extract_constraints, generic_ansatz,
-                         morphism_from_assignment, simplify,
+                         degree_spectrum, extract_constraints, factor_constraint,
+                         generic_ansatz, morphism_from_assignment, simplify,
                          solve_monomial_system, to_monomial_equation,
                          verify_morphism, volume_degree_polynomial)
 from minmod.linalg import LinearSolver
@@ -145,6 +145,18 @@ def test_sign_cap_leaves_the_case_unresolved():
     assert leaf.residual[-1] == "sign-enumeration cap"
 
 
+def test_open_leaves_name_why_the_degree_was_not_read_off():
+    # at the unconstrained root of lower-grading the degree
+    # k1*k3*k5*k6 - k2*k4*k5*k6 is not constant, and no point of it verifies
+    af, cert, vol = certified("lower-grading")
+    explorer = _Explorer(af.algebra, generic_ansatz(af.algebra), vol, SolverConfig())
+    leaf = explorer._residual_leaf([], CaseContext())
+    assert not leaf.resolved and leaf.residual == ("degree not constant on the case",)
+    leaf = explorer._leaf([], CaseContext())
+    assert not leaf.resolved
+    assert leaf.residual == ("k1*k3*k5*k6 - k2*k4*k5*k6", "degree outside the supported fragment")
+
+
 def _mono_poly(exps):
     p = MPoly.const(Fraction(1))
     for v, e in exps.items():
@@ -248,6 +260,15 @@ def test_budget_cap_degrades_to_inconclusive():
     assert not v.complete
 
 
+def _product(left, right):
+    """The tensor product of two catalog entries with its verified volume form."""
+    a, cert_a, _ = certified(left[0], **left[1])
+    b, cert_b, _ = certified(right[0], **right[1])
+    prod = tensor_product(a.algebra, b.algebra, cert_a, cert_b, a.volume, b.volume)
+    pv = prod.embed_left(a.volume) * prod.embed_right(b.volume)
+    return prod, verify_volume_form(prod, pv, ellipticity_certificate(prod))
+
+
 def _full_expansion_degree(alg, ansatz, vol, ctx):
     """phi(f(vol)) with every image term normalized and f(vol) expanded in full."""
     images = {n: img.map_coefficients(ctx.normalize) for n, img in ansatz.images.items()}
@@ -270,11 +291,7 @@ def test_pruned_degree_matches_full_expansion_at_catalog_roots():
     (("lower-grading", {}), ("lower-grading", {})),
 ], ids=["chiral3xchiral3", "chiral2xlower-grading", "lower-gradingxlower-grading"])
 def test_pruned_degree_matches_full_expansion_on_product_case_trees(monkeypatch, left, right):
-    a, cert_a, _ = certified(left[0], **left[1])
-    b, cert_b, _ = certified(right[0], **right[1])
-    prod = tensor_product(a.algebra, b.algebra, cert_a, cert_b, a.volume, b.volume)
-    pv = prod.embed_left(a.volume) * prod.embed_right(b.volume)
-    pvol = verify_volume_form(prod, pv, ellipticity_certificate(prod))
+    prod, pvol = _product(left, right)
     reached = []
 
     def recording_simplify(constraints, ctx):
@@ -300,3 +317,43 @@ def test_constant_factors_leave_the_case_unresolved(monkeypatch):
     assert v.classification == "Inconclusive" and not v.complete
     assert any(leaf.residual[-1:] == ("no nonconstant factor",)
                for leaf in v.leaves if not leaf.resolved)
+
+
+OPEN_REASONS = {"node budget exceeded", "case depth exceeded", "no nonconstant factor",
+                "degree not constant on the case", "sign-enumeration cap",
+                "free multiplicative kernel", "degree outside the supported fragment"}
+
+
+def test_every_unresolved_leaf_names_its_reason():
+    af, cert, vol = certified("lemma", i=0)
+    shallow = degree_spectrum(af.algebra, vol, SolverConfig(case_depth=1))
+    prod, pvol = _product(("lower-grading", {}), ("lower-grading", {}))
+    budgeted = degree_spectrum(prod, pvol, SolverConfig(node_budget=400))
+    for v in (shallow, budgeted):
+        open_leaves = [leaf for leaf in v.leaves if not leaf.resolved]
+        assert open_leaves
+        for leaf in open_leaves:
+            assert leaf.residual[-1] in OPEN_REASONS, leaf
+    assert [leaf.residual for leaf in shallow.leaves if not leaf.resolved] == [
+        ("-k1^8*k2^8 + k2^13", "-k1^18*k2 + k2^13", "case depth exceeded")]
+
+
+def test_each_blocking_polynomial_is_factored_once_per_spectrum(monkeypatch):
+    prod, pvol = _product(("lower-grading", {}), ("lower-grading", {}))
+    calls = []
+
+    def counting_factor_constraint(p):
+        calls.append(p)
+        return factor_constraint(p)
+
+    monkeypatch.setattr(endo, "factor_constraint", counting_factor_constraint)
+    v = degree_spectrum(prod, pvol, SolverConfig(node_budget=400))
+    assert len(calls) == len(set(calls)) == 23
+    # the verdict recorded before the factors were cached
+    assert v.classification == "Flexible" and not v.complete
+    assert set(v.spectrum) == {0}
+    assert [f.describe() for f in v.families] == ["t1^4*t2^3*t3^4*t4^3"]
+    assert (len(v.leaves), sum(leaf.resolved for leaf in v.leaves)) == (176, 163)
+    # the cache belongs to one exploration: a second spectrum factors again
+    degree_spectrum(prod, pvol, SolverConfig(node_budget=400))
+    assert len(calls) == 46

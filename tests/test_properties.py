@@ -5,13 +5,14 @@ All suites run derandomized so the corpus is reproducible run to run.
 
 from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from conftest import built
 from minmod import cli
 from minmod.cohomology import betti_table, is_exact
-from minmod.endo import (CaseContext, Contradiction, extract_constraints,
-                         generic_ansatz, simplify)
+from minmod.endo import (CaseContext, Contradiction, _from_sympy, _to_sympy,
+                         extract_constraints, generic_ansatz, simplify)
 from minmod.gca import Element, within
 from minmod.linalg import LinearSolver
 from minmod.poly import MPoly
@@ -286,3 +287,26 @@ def test_root_simplify_of_chiral3_square_is_pinned():
     assert (len(cons), len(work), len(ctx.zeros), len(ctx.subs)) == (370, 50, 150, 12)
     assert [v for v, _ in ctx.subs] == ["k9", "k8", "k11", "k10", "k41", "k40",
                                         "k93", "k94", "k95", "k99", "k125", "k130"]
+
+
+def _incremental_to_sympy(p):
+    """Reference: the old conversion that added the terms one at a time."""
+    expr = sympy.Integer(0)
+    for k, c in p.terms.items():
+        t = sympy.Rational(c.numerator, c.denominator)
+        for v, e in k:
+            t = t * sympy.Symbol(v) ** e
+        expr = expr + t
+    return expr
+
+
+MONOMIALS = st.dictionaries(st.sampled_from(UNKNOWNS), st.integers(1, 3), max_size=3).map(
+    lambda exps: tuple(sorted(exps.items())))
+
+
+@settings(**SETTINGS)
+@given(st.one_of(st.just(MPoly()), COEFFS.map(MPoly.const),
+                 st.dictionaries(MONOMIALS, COEFFS, max_size=6).map(MPoly)))
+def test_sympy_round_trip(p):
+    assert _from_sympy(_to_sympy(p)) == p
+    assert _to_sympy(p) == _incremental_to_sympy(p)
