@@ -16,6 +16,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 from . import catalog
@@ -49,19 +50,25 @@ def _q(x) -> str:
 _CATALOG_SPEC = re.compile(r"^([A-Za-z0-9-]+)(?:\((.*)\))?$")
 
 
+def _parse_params(parts) -> dict:
+    """``NAME=INT`` catalog parameters, from a spec's parentheses or ``--param``."""
+    params = {}
+    for part in parts:
+        if "=" not in part:
+            raise ParseError(f"bad catalog parameter {part!r}")
+        k, v = part.split("=", 1)
+        try:
+            params[k.strip()] = int(v)
+        except ValueError:
+            raise ParseError(f"catalog parameter {k.strip()} must be an integer")
+    return params
+
+
 def load_algebra(spec: str) -> AlgebraFile:
     """A DSL file path, or a catalog spec like ``chiral1(l1=4,l2=2)``."""
     m = _CATALOG_SPEC.match(spec)
     if m and m.group(1) in {e.key for e in catalog.ENTRIES}:
-        params = {}
-        for part in filter(None, (m.group(2) or "").split(",")):
-            if "=" not in part:
-                raise ParseError(f"bad catalog parameter {part!r}")
-            k, v = part.split("=", 1)
-            try:
-                params[k.strip()] = int(v)
-            except ValueError:
-                raise ParseError(f"catalog parameter {k.strip()} must be an integer")
+        params = _parse_params(filter(None, (m.group(2) or "").split(",")))
         try:
             return catalog.build(m.group(1), **params)
         except (KeyError, ValueError) as exc:
@@ -105,7 +112,7 @@ def _morphism_lines(images: dict) -> list:
 def cmd_catalog(args) -> int:
     if args.key:
         try:
-            af = catalog.build(args.key, **_parse_params(args.param))
+            af = catalog.build(args.key, **_parse_params(args.param or ()))
         except (KeyError, ValueError) as exc:
             print(str(exc), file=sys.stderr)
             return USAGE
@@ -115,16 +122,6 @@ def cmd_catalog(args) -> int:
     lines = [f"{k:14s} {s:55s} {p}" for k, s, p in rows]
     return _report(args, "catalog", None, "pass", lines,
                    {"entries": [{"key": k, "summary": s, "parameters": p} for k, s, p in rows]})
-
-
-def _parse_params(items) -> dict:
-    params = {}
-    for part in items or []:
-        if "=" not in part:
-            raise ParseError(f"expected NAME=INT, got {part!r}")
-        k, v = part.split("=", 1)
-        params[k.strip()] = int(v)
-    return params
 
 
 def cmd_check(args) -> int:
@@ -316,12 +313,25 @@ def cmd_verify(args) -> int:
 # -- replay -----------------------------------------------------------------
 
 
-def validate_report(doc) -> None:
-    import jsonschema
+@lru_cache(maxsize=1)
+def _validator():
+    """The report schema's validator, loaded and checked once per process."""
+    from jsonschema.validators import validator_for
 
     with resources.files("minmod").joinpath(SCHEMA_NAME).open(encoding="utf-8") as fh:
         schema = json.load(fh)
-    jsonschema.validate(doc, schema)
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_report(doc) -> None:
+    """Raise the error ``jsonschema.validate`` would raise for ``doc``."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 def cmd_replay(args) -> int:

@@ -620,6 +620,10 @@ class CaseLeaf:
     residual: tuple = ()         # unresolved: unreduced constraints, then the reason
 
 
+UNVERIFIED = "witness did not verify"
+OUTSIDE_FRAGMENT = "degree outside the supported fragment"
+
+
 def _open_leaf(ctx, polys, reason) -> CaseLeaf:
     """An unresolved leaf whose residual ends in the reason it stays open."""
     return CaseLeaf(ctx.assumptions, False, residual=tuple(map(str, polys)) + (reason,))
@@ -733,8 +737,8 @@ class _Explorer:
         for sol in solutions:
             lam_s = lam.substitute(sol) if sol else lam
             closed = self._close_out(ctx, lam_s, fixed=sol)
-            if closed is None:
-                return _open_leaf(ctx, (lam_s,), "degree outside the supported fragment")
+            if isinstance(closed, str):
+                return _open_leaf(ctx, (lam_s,), closed)
             degrees += closed[0]
             families += closed[1]
             witnesses += closed[2]
@@ -743,14 +747,16 @@ class _Explorer:
     def _close_out(self, ctx, lam, fixed):
         """Ground a case: constant degree, or a verified monomial family.
 
-        Returns (constant degrees, families, witnesses) or None when the
-        degree expression stays out of the supported fragment.
+        Returns (constant degrees, families, witnesses), or the reason the
+        case stays open: a witness that fails verification or disagrees with
+        the predicted degree, or a degree expression outside the supported
+        fragment.
         """
         c = lam.constant_value()
         if c is not None:
             w = self._witness(ctx, fixed, {}, f"degree {c}")
             if w is None or w[1] != c:
-                return None
+                return UNVERIFIED
             return [c], [], [w]
         sm = lam.as_single_monomial()
         if sm is None:
@@ -765,7 +771,7 @@ class _Explorer:
                 val *= tq ** e
             w = self._witness(ctx, fixed, {v: tq for v, _ in family.exps}, f"t = {t}")
             if w is None or w[1] != val:
-                return None
+                return UNVERIFIED
             witnesses.append(w)
         return [], [family], witnesses
 
@@ -800,7 +806,7 @@ class _Explorer:
             if odd:
                 break
         if choice is None:
-            return None
+            return OUTSIDE_FRAGMENT
         v, family, odd = choice
         others = {u: ONE for u in varlist if u != v}
         samples = list(self.cfg.family_samples) + ([-2] if odd else [])
@@ -816,7 +822,7 @@ class _Explorer:
             tq = Fraction(t)
             w = self._witness(ctx, fixed, {v: tq, **others}, f"t = {t}")
             if w is None or w[1] != family.value_at(tq):
-                return None
+                return UNVERIFIED
             witnesses.append(w)
         return [], [family], witnesses
 

@@ -188,43 +188,34 @@ def bigraded_cohomology_basis(alg: SullivanAlgebra, grading: LowerGrading,
     image arriving from one level up.
     """
     out = []
+    below: dict = {}  # level -> nonzero differentials of degree n-1 monomials
     for n in range(1, up_to + 1):
         by_level: dict = {}
         for m in alg.basis_of_degree(n):
             by_level.setdefault(grading.of_monomial(m), []).append(m)
+        images = {}
         for lev in sorted(by_level):
             monos = by_level[lev]
-            kernel = _kernel_elements(alg, monos)
-            if not kernel:
-                continue
-            image = _image_elements(alg, n, lev + 1, grading)
-            out += [(n, lev, e) for e in _independent_modulo(kernel, image)]
+            diffs = [extend_derivation(alg, Element(alg.free, {m: ONE})) for m in monos]
+            images[lev] = [d for d in diffs if d]
+            kernel = _kernel_elements(alg.free, monos, diffs)
+            if kernel:
+                out += [(n, lev, e) for e in _independent_modulo(kernel, below.get(lev + 1, []))]
+        below = images
     return out
 
 
-def _kernel_elements(alg, monos) -> list:
+def _kernel_elements(free, monos, diffs) -> list:
     solver = LinearSolver()
     rows: dict = {}
-    for j, m in enumerate(monos):
-        img = extend_derivation(alg, Element(alg.free, {m: ONE}))
-        for mm, c in img.terms.items():
+    for j, dm in enumerate(diffs):
+        for mm, c in dm.terms.items():
             rows.setdefault(mm, {})[j] = c
     for row in rows.values():
         solver.add_equation(row, ZERO)
     basis = solver.kernel_basis(range(len(monos)))
-    return [Element(alg.free, {monos[j]: c for j, c in vec.items() if c})
+    return [Element(free, {monos[j]: c for j, c in vec.items() if c})
             for vec in basis]
-
-
-def _image_elements(alg, n, lev, grading) -> list:
-    out = []
-    for m in alg.basis_of_degree(n - 1):
-        if grading.of_monomial(m) != lev:
-            continue
-        img = extend_derivation(alg, Element(alg.free, {m: ONE}))
-        if img:
-            out.append(img)
-    return out
 
 
 def _independent_modulo(kernel, image) -> list:

@@ -152,16 +152,20 @@ class FreeGCA:
 
 
 def _even_fills(degrees, target):
-    """Exponent tuples ``e`` with ``sum(e*d for d in degrees) == target``."""
-    if not degrees:
-        if target == 0:
-            yield ()
-        return
-    d = degrees[0]
-    rest = degrees[1:]
-    for e in range(target // d + 1):
-        for tail in _even_fills(rest, target - e * d):
-            yield (e,) + tail
+    """Exponent tuples ``e`` with ``sum(e*d for d in degrees) == target``,
+    in lexicographic order.
+
+    Prefixes are extended one degree at a time, each in increasing exponent
+    order, so the list stays lexicographically sorted; the last exponent is
+    forced by the remainder.
+    """
+    if target < 0 or not degrees:
+        return [()] if target == 0 else []
+    partial = [((), target)]
+    for d in degrees[:-1]:
+        partial = [(p + (e,), r - e * d) for p, r in partial for e in range(r // d + 1)]
+    d = degrees[-1]
+    return [p + (r // d,) for p, r in partial if r % d == 0]
 
 
 def within(mono, box) -> bool:

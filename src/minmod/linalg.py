@@ -100,20 +100,3 @@ class LinearSolver:
             basis.append(vec)
         return basis
 
-
-def solve_linear(equations, unknowns=None):
-    """Solve a list of ``(row, rhs)`` equations; None when inconsistent."""
-    solver = LinearSolver()
-    try:
-        for row, rhs in equations:
-            solver.add_equation(row, rhs)
-    except Inconsistent:
-        return None
-    return solver.particular_solution()
-
-
-def matrix_rank(rows) -> int:
-    solver = LinearSolver()
-    for row in rows:
-        solver.add_equation(row, ZERO)
-    return solver.rank

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .gca import Element, FreeGCA, Generator, StructureError
 
+ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -64,27 +65,47 @@ class SullivanAlgebra:
 
 
 def extend_derivation(alg: SullivanAlgebra, e: Element) -> Element:
-    """The unique degree +1 derivation extending the generator differentials."""
+    """The unique degree +1 derivation extending the generator differentials.
+
+    Each Leibniz term left * d(x_i) * right is multiplied out monomial by
+    monomial into one accumulator.  Coefficients of ``e`` may be any ring
+    elements (``MPoly`` for symbolic maps), so only ``*``, ``+`` and unary
+    minus are applied to them.
+    """
     free = alg.free
     if e.alg is not free:
         raise StructureError("element over a different algebra")
     degs = free.degrees
-    out = free.zero()
+    mul = free.mul_monomials
+    terms: dict = {}
     for mono, c in e.terms.items():
         prefix_parity = 0
         for i, exp in enumerate(mono):
             if exp:
                 di = alg.diff[i]
                 if di:
-                    left = list(mono[: i + 1]) + [0] * (len(mono) - i - 1)
-                    left[i] = exp - 1
-                    right = [0] * (i + 1) + list(mono[i + 1:])
+                    left = mono[:i] + (exp - 1,) + (0,) * (len(mono) - i - 1)
+                    right = (0,) * (i + 1) + mono[i + 1:]
                     sign = -1 if prefix_parity % 2 else 1
                     coeff = c * Fraction(sign * exp)
-                    term = Element(free, {tuple(left): coeff}) * di * Element(free, {tuple(right): ONE})
-                    out = out + term
+                    for md, cd in di.terms.items():
+                        lm = mul(left, md)
+                        if lm is None:
+                            continue
+                        full = mul(lm[1], right)
+                        if full is None:
+                            continue
+                        v = coeff * cd
+                        if lm[0] * full[0] < 0:
+                            v = -v
+                        m = full[1]
+                        s = terms.get(m, ZERO) + v
+                        if s:
+                            terms[m] = s
+                        else:
+                            terms.pop(m, None)
                 prefix_parity += exp * degs[i]
-    return out
+    return Element(free, terms)
 
 
 @dataclass

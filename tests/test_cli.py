@@ -1,7 +1,9 @@
 """Exit codes, report schema, and replay round-trips for the CLI."""
 
 import json
+from importlib import resources
 
+import jsonschema
 import pytest
 
 from minmod.cli import FAIL, INCONCLUSIVE, PASS, USAGE, main, validate_report
@@ -167,9 +169,15 @@ def test_replay_detects_tampering(capsys, tmp_path):
 
 def test_replay_rejects_malformed_report(capsys, tmp_path):
     p = tmp_path / "report.json"
-    p.write_text(json.dumps({"schema": "minmod-report/1", "command": "nonesuch"}))
+    doc = {"schema": "minmod-report/1", "command": "nonesuch"}
+    p.write_text(json.dumps(doc))
     code, out, err = run(capsys, "replay", str(p))
     assert code == USAGE and "invalid report" in err
+    # the cached validator reports the error jsonschema.validate picks
+    schema = json.loads(resources.files("minmod").joinpath("report.schema.json").read_text())
+    with pytest.raises(jsonschema.ValidationError) as exc:
+        jsonschema.validate(doc, schema)
+    assert err == f"invalid report: {exc.value.message}\n"
 
 
 def test_usage_errors(capsys, tmp_path):
@@ -179,6 +187,20 @@ def test_usage_errors(capsys, tmp_path):
     bad = tmp_path / "bad.alg"
     bad.write_text("gen x : 1\n")
     assert run(capsys, "check", str(bad))[0] == USAGE
+
+
+@pytest.mark.parametrize("argv", [("dim", "lemma({})"), ("catalog", "lemma", "--param", "{}")],
+                         ids=["spec", "param"])
+def test_catalog_parameters_parse_alike_in_both_spellings(capsys, argv):
+    def err_for(value):
+        code, _, err = run(capsys, *(a.format(value) for a in argv))
+        assert code == USAGE
+        return err
+
+    assert err_for("i=oops") == "catalog parameter i must be an integer\n"
+    assert err_for("oops") == "bad catalog parameter 'oops'\n"
+    code, out, _ = run(capsys, *(a.format("i = 1") for a in argv))
+    assert code == PASS and out
 
 
 def test_json_reports_validate_against_schema(capsys):

@@ -154,7 +154,30 @@ def test_open_leaves_name_why_the_degree_was_not_read_off():
     assert not leaf.resolved and leaf.residual == ("degree not constant on the case",)
     leaf = explorer._leaf([], CaseContext())
     assert not leaf.resolved
-    assert leaf.residual == ("k1*k3*k5*k6 - k2*k4*k5*k6", "degree outside the supported fragment")
+    assert leaf.residual == ("k1*k3*k5*k6 - k2*k4*k5*k6", "witness did not verify")
+
+
+def test_leaf_reason_tells_a_failed_witness_from_an_unsupported_degree(monkeypatch):
+    af, cert, vol = certified("lower-grading")
+    explorer = _Explorer(af.algebra, generic_ansatz(af.algebra), vol, SolverConfig())
+    witnesses = []
+
+    def recording_witness(ctx, fixed, family_values, label):
+        w = _Explorer._witness(explorer, ctx, fixed, family_values, label)
+        witnesses.append((family_values, w))
+        return w
+
+    monkeypatch.setattr(explorer, "_witness", recording_witness)
+    leaf = explorer._leaf([], CaseContext())
+    assert leaf.residual[-1] == "witness did not verify"
+    # the probe k1 - 1 was found; its sample k1 = 2 is not a morphism
+    k = {f"k{i}": ONE for i in range(2, 7)}
+    assert witnesses == [({"k1": Fraction(2), **k}, None)]
+    # (k1 - k4)*(k2 - k3): pinning all but one unknown to 1 leaves a constant
+    k1, k2, k3, k4 = (MPoly.var(f"k{i}") for i in range(1, 5))
+    lam = (k1 - k4) * (k2 - k3)
+    assert explorer._close_out(CaseContext(), lam, {}) == "degree outside the supported fragment"
+    assert len(witnesses) == 1
 
 
 def _mono_poly(exps):
@@ -321,7 +344,8 @@ def test_constant_factors_leave_the_case_unresolved(monkeypatch):
 
 OPEN_REASONS = {"node budget exceeded", "case depth exceeded", "no nonconstant factor",
                 "degree not constant on the case", "sign-enumeration cap",
-                "free multiplicative kernel", "degree outside the supported fragment"}
+                "free multiplicative kernel", "degree outside the supported fragment",
+                "witness did not verify"}
 
 
 def test_every_unresolved_leaf_names_its_reason():
