@@ -293,23 +293,8 @@ def parse_morphism(alg: SullivanAlgebra, text: str) -> dict:
 # -- printing --------------------------------------------------------------
 
 
-def element_str(e: Element) -> str:
-    """Round-trippable rendering of an element (parse_element inverse)."""
-    if not e:
-        return "0"
-    parts = []
-    for m in sorted(e.terms):
-        c = e.terms[m]
-        mono = e.alg.monomial_str(m)
-        if mono == "1":
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(mono)
-        elif c == -1:
-            parts.append(f"-{mono}")
-        else:
-            parts.append(f"{c}*{mono}")
-    return " + ".join(parts).replace("+ -", "- ")
+# the one element printer, also ``str(e)``
+element_str = Element.__str__
 
 
 def print_algebra(af: AlgebraFile) -> str:

@@ -50,6 +50,7 @@ class FreeGCA:
         self.generators = gens
         self.index = {g.name: i for i, g in enumerate(gens)}
         self.degrees = tuple(g.degree for g in gens)
+        self.parities = tuple(d % 2 for d in self.degrees)
         self.odd_indices = tuple(i for i, g in enumerate(gens) if g.is_odd)
         self.even_indices = tuple(i for i, g in enumerate(gens) if not g.is_odd)
         self.unit_monomial = (0,) * len(gens)
@@ -173,6 +174,29 @@ def within(mono, box) -> bool:
     return all(map(le, mono, box))
 
 
+def mul_terms(alg: FreeGCA, terms1: dict, terms2: dict, box=None) -> dict:
+    """The product of two ``{monomial: coefficient}`` dicts as a new dict;
+    with a ``box``, only the monomials :func:`within` it."""
+    terms: dict = {}
+    for m1, c1 in terms1.items():
+        for m2, c2 in terms2.items():
+            sm = alg.mul_monomials(m1, m2)
+            if sm is None:
+                continue
+            sign, m = sm
+            if box is not None and not within(m, box):
+                continue
+            c = c1 * c2
+            if sign < 0:
+                c = -c
+            s = terms.get(m, ZERO) + c
+            if s:
+                terms[m] = s
+            else:
+                terms.pop(m, None)
+    return terms
+
+
 def _coeff(c):
     if isinstance(c, int):
         return Fraction(c)
@@ -243,25 +267,7 @@ class Element:
         :func:`within` it, skipping the coefficient products of the others."""
         if isinstance(other, Element):
             self._check(other)
-            terms: dict = {}
-            alg = self.alg
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    sm = alg.mul_monomials(m1, m2)
-                    if sm is None:
-                        continue
-                    sign, m = sm
-                    if box is not None and not within(m, box):
-                        continue
-                    c = c1 * c2
-                    if sign < 0:
-                        c = -c
-                    s = terms.get(m, ZERO) + c
-                    if s:
-                        terms[m] = s
-                    else:
-                        terms.pop(m, None)
-            return Element(self.alg, terms)
+            return Element(self.alg, mul_terms(self.alg, self.terms, other.terms, box))
         return self.scale(other)
 
     __mul__ = mul
@@ -308,6 +314,8 @@ class Element:
         return min(sum(m) for m in self.terms)
 
     def __str__(self):
+        """Round-trippable rendering of a rational element (the inverse of
+        ``dsl.parse_element``); symbolic coefficients print in parentheses."""
         if not self.terms:
             return "0"
         parts = []

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, mul
 
-from .gca import Element, FreeGCA, Generator, StructureError
+from .gca import Element, FreeGCA, Generator, StructureError, mul_terms
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class ContractionError(ValueError):
@@ -46,6 +47,11 @@ class SullivanAlgebra:
                 )
             images.append(img)
         self.diff = tuple(images)
+        # (i, terms of d(x_i) with their odd factors) for each d(x_i) != 0
+        self.leibniz = tuple(
+            (i, tuple((md, cd, tuple(j for j in free.odd_indices if md[j]))
+                      for md, cd in img.terms.items()))
+            for i, img in enumerate(images) if img)
 
     def __repr__(self):
         label = self.name or "SullivanAlgebra"
@@ -68,43 +74,49 @@ def extend_derivation(alg: SullivanAlgebra, e: Element) -> Element:
     """The unique degree +1 derivation extending the generator differentials.
 
     Each Leibniz term left * d(x_i) * right is multiplied out monomial by
-    monomial into one accumulator.  Coefficients of ``e`` may be any ring
-    elements (``MPoly`` for symbolic maps), so only ``*``, ``+`` and unary
-    minus are applied to them.
+    monomial into one accumulator.  With ``before[k]`` the number of odd
+    factors of the monomial below index k, an odd factor j of a term of
+    d(x_i) vanishes against the same factor of the monomial, and otherwise
+    crosses the monomial's odd factors strictly between j and i; their
+    count, plus ``before[i]`` for the derivation, is the Koszul sign.
+    Coefficients of ``e`` may be any ring elements (``MPoly`` for symbolic
+    maps), so only ``*``, ``+`` and unary minus are applied to them.
     """
     free = alg.free
     if e.alg is not free:
         raise StructureError("element over a different algebra")
-    degs = free.degrees
-    mul = free.mul_monomials
+    odd = free.parities
     terms: dict = {}
     for mono, c in e.terms.items():
-        prefix_parity = 0
-        for i, exp in enumerate(mono):
-            if exp:
-                di = alg.diff[i]
-                if di:
-                    left = mono[:i] + (exp - 1,) + (0,) * (len(mono) - i - 1)
-                    right = (0,) * (i + 1) + mono[i + 1:]
-                    sign = -1 if prefix_parity % 2 else 1
-                    coeff = c * Fraction(sign * exp)
-                    for md, cd in di.terms.items():
-                        lm = mul(left, md)
-                        if lm is None:
-                            continue
-                        full = mul(lm[1], right)
-                        if full is None:
-                            continue
-                        v = coeff * cd
-                        if lm[0] * full[0] < 0:
-                            v = -v
-                        m = full[1]
-                        s = terms.get(m, ZERO) + v
-                        if s:
-                            terms[m] = s
-                        else:
-                            terms.pop(m, None)
-                prefix_parity += exp * degs[i]
+        before = list(accumulate(map(mul, mono, odd), initial=0))
+        for i, dterms in alg.leibniz:
+            exp = mono[i]
+            if not exp:
+                continue
+            bi, bi1 = before[i], before[i + 1]
+            base = mono[:i] + (exp - 1,) + mono[i + 1:]
+            coeff = c if exp == 1 else c * exp
+            if bi % 2:
+                coeff = -coeff
+            for md, cd, md_odd in dterms:
+                crossings = 0
+                for j in md_odd:
+                    if j != i and mono[j]:
+                        break
+                    if j < i:
+                        crossings += bi - before[j + 1]
+                    elif j > i:
+                        crossings += before[j] - bi1
+                else:
+                    v = coeff * cd
+                    if crossings % 2:
+                        v = -v
+                    m = tuple(map(add, base, md))
+                    s = terms.get(m, ZERO) + v
+                    if s:
+                        terms[m] = s
+                    else:
+                        terms.pop(m, None)
     return Element(free, terms)
 
 
@@ -140,7 +152,7 @@ def apply_algebra_map(target: SullivanAlgebra, images: dict, e: Element, box=Non
     """Extend a generator assignment multiplicatively to an element.
 
     ``images`` maps generator names of ``e``'s algebra to Elements of
-    ``target``; Koszul signs come out of Element multiplication.  Each term
+    ``target``; Koszul signs come out of monomial multiplication.  Each term
     of ``e`` is multiplied out one generator factor at a time.  With an
     exponent tuple ``box`` of ``target``, every partial product keeps only
     its terms within the box, so the result is exactly the terms of the full
@@ -148,18 +160,27 @@ def apply_algebra_map(target: SullivanAlgebra, images: dict, e: Element, box=Non
     dropped term never leads back into it.
     """
     src = e.alg
-    out = target.free.zero()
+    free = target.free
+    out: dict = {}
     for mono, c in e.terms.items():
-        term = target.free.one().scale(c)
+        term = {free.unit_monomial: c}
         for i, exp in enumerate(mono):
             if exp:
                 name = src.generators[i].name
                 if name not in images:
                     raise StructureError(f"no image for generator {name}")
+                img = images[name]
+                if img.alg is not free:
+                    raise StructureError("elements over different generator sets")
                 for _ in range(exp):
-                    term = term.mul(images[name], box)
-        out = out + term
-    return out
+                    term = mul_terms(free, term, img.terms, box)
+        for m, v in term.items():
+            s = out.get(m, ZERO) + v
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+    return Element(free, out)
 
 
 # -- ellipticity and formal dimension -------------------------------------

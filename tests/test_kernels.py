@@ -2,8 +2,10 @@
 
 Each reference below is the earlier implementation, kept verbatim in
 behaviour: ``extend_derivation`` as a three-Element product per Leibniz
-term, ``_even_fills`` as a recursive generator, and the bigraded
-cohomology basis with one derivation pass per kernel and per image.
+term, ``_even_fills`` as a recursive generator, the bigraded cohomology
+basis with one derivation pass per kernel and per image, ``LinearSolver``
+as Gauss-Jordan on Fraction rows, and ``apply_algebra_map`` as a sum of
+Element products.
 """
 
 import random
@@ -11,13 +13,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ALL_KEYS, built
+from conftest import ALL_KEYS, built, certified
 from minmod.endo import generic_ansatz
 from minmod.flexcert import (_independent_modulo, bigraded_cohomology_basis,
                              construct_lower_grading)
 from minmod.gca import Element, FreeGCA, Generator, _even_fills
-from minmod.linalg import LinearSolver
-from minmod.sullivan import SullivanAlgebra, dimension_formula, extend_derivation
+from minmod.flexcert import scaling_images
+from minmod.linalg import Inconsistent, LinearSolver
+from minmod.sullivan import (SullivanAlgebra, apply_algebra_map, dimension_formula,
+                             extend_derivation)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,6 +45,97 @@ def reference_extend_derivation(alg, e):
                     term = Element(free, {tuple(left): coeff}) * di * Element(free, {tuple(right): ONE})
                     out = out + term
                 prefix_parity += exp * degs[i]
+    return out
+
+
+class ReferenceLinearSolver:
+    """Incremental Gauss-Jordan elimination over Q.
+
+    Rows are kept mutually reduced: every pivot row has coefficient 1 on its
+    pivot variable and 0 on every other pivot variable.
+    """
+
+    def __init__(self):
+        self.pivrows = {}  # pivot var -> (row dict, rhs)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivrows)
+
+    def _reduce(self, row, rhs):
+        # pivot rows reference no other pivots, so one pass eliminates all
+        row = dict(row)
+        for v in [v for v in row if v in self.pivrows]:
+            c = row.pop(v, ZERO)
+            if not c:
+                continue
+            prow, prhs = self.pivrows[v]
+            for k, val in prow.items():
+                if k == v:
+                    continue
+                nv = row.get(k, ZERO) - c * val
+                if nv:
+                    row[k] = nv
+                else:
+                    row.pop(k, None)
+            rhs = rhs - c * prhs
+        return row, rhs
+
+    def add_equation(self, row, rhs=ZERO) -> None:
+        row, rhs = self._reduce(row, rhs)
+        if not row:
+            if rhs:
+                raise Inconsistent(f"0 == {rhs}")
+            return
+        v = min(row)
+        c = row[v]
+        norm = {k: val / c for k, val in row.items()}
+        nrhs = rhs / c
+        # clear the new pivot variable from existing rows
+        for pv, (prow, prhs) in list(self.pivrows.items()):
+            if v in prow:
+                f = prow.pop(v)
+                for k, val in norm.items():
+                    if k == v:
+                        continue
+                    nv = prow.get(k, ZERO) - f * val
+                    if nv:
+                        prow[k] = nv
+                    else:
+                        prow.pop(k, None)
+                self.pivrows[pv] = (prow, prhs - f * nrhs)
+        self.pivrows[v] = (norm, nrhs)
+
+    def residual(self, row, rhs=ZERO):
+        return self._reduce(row, rhs)
+
+    def particular_solution(self) -> dict:
+        return {v: rhs for v, (_, rhs) in self.pivrows.items() if rhs}
+
+    def kernel_basis(self, variables) -> list:
+        pivots = set(self.pivrows)
+        basis = []
+        for f in sorted(v for v in variables if v not in pivots):
+            vec = {f: ONE}
+            for pv, (prow, _) in self.pivrows.items():
+                c = prow.get(f)
+                if c:
+                    vec[pv] = -c
+            basis.append(vec)
+        return basis
+
+
+def reference_apply_algebra_map(target, images, e, box=None):
+    src = e.alg
+    out = target.free.zero()
+    for mono, c in e.terms.items():
+        term = target.free.one().scale(c)
+        for i, exp in enumerate(mono):
+            if exp:
+                name = src.generators[i].name
+                for _ in range(exp):
+                    term = term.mul(images[name], box)
+        out = out + term
     return out
 
 
@@ -127,10 +222,14 @@ def test_extend_derivation_matches_three_product_reference(key, params):
 def test_extend_derivation_matches_reference_when_d_uses_later_generators():
     # catalog differentials only use earlier generators, so there the
     # Koszul sign of (left * d(x_i)) * right is always +1; here it is not
-    free = FreeGCA([Generator("x", 4), Generator("w", 3), Generator("a", 3),
-                    Generator("y", 2), Generator("v", 5)])
+    # and d(u) has odd factors on both sides of u, each with odd generators
+    # (b, a) in between to cross
+    free = FreeGCA([Generator("x", 4), Generator("w", 3), Generator("b", 3),
+                    Generator("u", 7), Generator("a", 3), Generator("y", 2),
+                    Generator("v", 5)])
     g = {n: free.gen(n) for n in free.index}
-    alg = SullivanAlgebra(free, {"x": g["a"] * g["y"], "w": g["y"] ** 2,
+    alg = SullivanAlgebra(free, {"x": g["a"] * g["y"], "w": g["y"] ** 2, "b": g["y"] ** 2,
+                                 "u": g["w"] * g["v"] + g["b"] * g["a"] * g["y"],
                                  "a": g["y"] ** 2, "v": g["w"] * g["a"]})
     rng = random.Random(7)
     for _ in range(60):
@@ -169,3 +268,147 @@ def test_bigraded_basis_matches_per_level_reference(key, params):
     assert [(n, lev) for n, lev, _ in new] == [(n, lev) for n, lev, _ in ref]
     for (_, _, a), (_, _, b) in zip(new, ref):
         _same(a, b)
+
+
+def _solver_outputs_agree(new, ref, variables, probes):
+    assert new.rank == ref.rank
+    for a, b in ((new.particular_solution(), ref.particular_solution()),
+                 *zip(new.kernel_basis(variables), ref.kernel_basis(variables))):
+        assert list(a.items()) == list(b.items())
+        assert all(type(c) is Fraction for c in a.values())
+    assert len(new.kernel_basis(variables)) == len(ref.kernel_basis(variables))
+    for row, rhs in probes:
+        (nrow, nrhs), (rrow, rrhs) = new.residual(row, rhs), ref.residual(row, rhs)
+        assert list(nrow.items()) == list(rrow.items()) and nrhs == rrhs
+        assert all(type(c) is Fraction for c in nrow.values()) and type(nrhs) is Fraction
+
+
+def _coefficient(rng, kind):
+    if kind in ("integer", "monomial"):
+        return Fraction(rng.choice((-3, -2, -1, 1, 1, 2, 4, 6)))
+    return Fraction(rng.choice((-7, -3, -1, 1, 2, 5)), rng.randint(1, 9))
+
+
+def _combination(rng, eqs):
+    # an implied equation, or with a shifted rhs an inconsistent one
+    row, rhs = {}, ZERO
+    for r, b in rng.sample(eqs, min(len(eqs), rng.randint(2, 3))):
+        f = _coefficient(rng, "rational")
+        for k, c in r.items():
+            row[k] = row.get(k, ZERO) + f * c
+        rhs += f * b
+    return {k: c for k, c in row.items() if c}, rhs + rng.choice((0, 0, 1))
+
+
+def _random_system(rng, kind, homogeneous):
+    if kind == "monomial":
+        # string keys and exponent rows, as solve_monomial_system builds them
+        keys = [f"k{i}" for i in range(1, rng.randint(3, 14))]
+    else:
+        keys = list(range(rng.randint(2, 10)))
+    eqs = []
+    if kind == "hilbert":
+        n = min(len(keys), rng.randint(2, 6))
+        shift = rng.randint(0, 3)
+        eqs = [({keys[j]: Fraction(1, i + j + 1 + shift) for j in range(n)},
+                ZERO if homogeneous else Fraction(rng.randint(-3, 3))) for i in range(n)]
+    for _ in range(rng.randint(1, 12)):
+        if len(eqs) >= 2 and rng.random() < 0.3:
+            row, rhs = _combination(rng, eqs)
+            if not row:
+                continue
+        else:
+            support = rng.sample(keys, rng.randint(1, min(len(keys), 5)))
+            row = {k: _coefficient(rng, kind) for k in support}
+            rhs = ZERO if homogeneous else Fraction(rng.randint(-5, 5), rng.choice((1, 1, 3)))
+        eqs.append((row, ZERO if homogeneous else rhs))
+    return keys, eqs
+
+
+@pytest.mark.parametrize("kind", ["integer", "rational", "hilbert", "monomial"])
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "inhomogeneous"])
+def test_linear_solver_matches_fraction_reference(kind, homogeneous):
+    rng = random.Random(f"{kind}-{homogeneous}")
+    raised = 0
+    for _ in range(150):
+        keys, eqs = _random_system(rng, kind, homogeneous)
+        new, ref = LinearSolver(), ReferenceLinearSolver()
+        for row, rhs in eqs:
+            outcome = []
+            for solver in (new, ref):
+                try:
+                    solver.add_equation(row, rhs)
+                    outcome.append(None)
+                except Inconsistent as exc:
+                    outcome.append(str(exc))
+            assert outcome[0] == outcome[1], (row, rhs)
+            raised += outcome[1] is not None
+        probes = [_combination(rng, eqs) for _ in range(3) if len(eqs) >= 2]
+        probes += [({k: _coefficient(rng, kind) for k in rng.sample(keys, 2)}, ONE)
+                   for _ in range(2) if len(keys) >= 2]
+        _solver_outputs_agree(new, ref, keys, probes)
+    # the inhomogeneous systems do reach the inconsistent case
+    assert raised > 5 or homogeneous
+
+
+def _random_box(rng, alg):
+    return tuple(rng.randint(0, 1 if g.is_odd else 3) for g in alg.generators)
+
+
+@pytest.mark.parametrize("key,params", FLEX_KEYS, ids=[_id(*kp) for kp in FLEX_KEYS])
+def test_apply_algebra_map_matches_element_products_on_scaling_images(key, params):
+    alg = built(key, **params)[0].algebra
+    grading = construct_lower_grading(alg)
+    rng = random.Random(f"map{key}")
+    degrees = [n for n in range(1, dimension_formula(alg) + 1) if alg.basis_of_degree(n)]
+    for base in (2, 4):
+        images = scaling_images(alg, grading, base)
+        for _ in range(20):
+            e = _random_element(rng, alg, rng.choice(degrees))
+            for box in (None, _random_box(rng, alg)):
+                _same(apply_algebra_map(alg, images, e, box),
+                      reference_apply_algebra_map(alg, images, e, box))
+
+
+@pytest.mark.parametrize("key,params", [("chiral3", {"l": 5}), ("lower-grading", {})],
+                         ids=["chiral3-l5", "lower-grading"])
+def test_apply_algebra_map_matches_element_products_on_symbolic_ansatz(key, params):
+    af, _, vol = certified(key, **params)
+    alg = af.algebra
+    images = generic_ansatz(alg).images
+    rng = random.Random(f"ansatz{key}")
+    box = tuple(map(max, zip(*vol.functional.phi)))
+    _same(apply_algebra_map(alg, images, vol.representative, box),
+          reference_apply_algebra_map(alg, images, vol.representative, box))
+    for dg in alg.diff:
+        _same(apply_algebra_map(alg, images, dg), reference_apply_algebra_map(alg, images, dg))
+    for _ in range(10):
+        e = _random_element(rng, alg, rng.randint(2, 8))
+        for b in (None, _random_box(rng, alg)):
+            _same(apply_algebra_map(alg, images, e, b),
+                  reference_apply_algebra_map(alg, images, e, b))
+
+
+SHARED_DEGREE_KEYS = (("chain-reduced", {}), ("chiral1", {"l1": 4, "l2": 2}), ("lower-grading", {}))
+
+
+@pytest.mark.parametrize("key,params", SHARED_DEGREE_KEYS,
+                         ids=[_id(*kp) for kp in SHARED_DEGREE_KEYS])
+def test_apply_algebra_map_matches_element_products_when_terms_cancel(key, params):
+    # two generators g, h of one degree share an image, so the terms of
+    # (g - h) * z cancel pairwise in the result
+    alg = built(key, **params)[0].algebra
+    rng = random.Random(f"cancel{key}")
+    g, h = next((g, h) for g in alg.generators for h in alg.generators
+                if g.degree == h.degree and g.name < h.name)
+    degrees = [n for n in range(1, dimension_formula(alg) + 1) if alg.basis_of_degree(n)]
+    for _ in range(5):
+        shared = {d: _random_element(rng, alg, d) for d in set(alg.free.degrees)}
+        images = {x.name: shared[x.degree] for x in alg.generators}
+        for _ in range(10):
+            z = _random_element(rng, alg, rng.choice(degrees))
+            e = (alg.gen(g.name) - alg.gen(h.name)) * z
+            e = e + _random_element(rng, alg, e.degree()) if e else z
+            for box in (None, _random_box(rng, alg)):
+                _same(apply_algebra_map(alg, images, e, box),
+                      reference_apply_algebra_map(alg, images, e, box))

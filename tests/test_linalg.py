@@ -1,6 +1,8 @@
 """Exact sparse Gauss-Jordan solving."""
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -68,3 +70,58 @@ def test_rational_pivoting_exactness():
     sol = solver.particular_solution()
     for row, rhs in rows:
         assert sum(c * sol.get(j, Fraction(0)) for j, c in row.items()) == rhs
+
+
+def test_zero_coefficients_are_ignored():
+    # an explicit zero is not a pivot candidate
+    solver = LinearSolver()
+    solver.add_equation({0: Fraction(0), 1: ONE}, Fraction(2))
+    assert solver.rank == 1
+    assert solver.particular_solution() == {1: Fraction(2)}
+    assert solver.kernel_basis(range(2)) == [{0: ONE}]
+    # an implied equation reduces to an empty row, zeros and all
+    solver = LinearSolver()
+    solver.add_equation({1: ONE})
+    assert solver.residual({0: Fraction(0), 1: ONE}) == ({}, 0)
+    assert solver.residual({0: Fraction(0), 1: ONE}, ONE) == ({}, ONE)
+
+
+def _random_system(rng):
+    nvars = rng.randint(1, 9)
+    rows = []
+    for _ in range(rng.randint(1, 12)):
+        support = rng.sample(range(nvars), rng.randint(1, min(nvars, 4)))
+        row = {v: Fraction(rng.choice((-6, -3, -2, -1, 1, 2, 4, 9)), rng.choice((1, 1, 2, 3)))
+               for v in support}
+        rows.append((row, Fraction(rng.randint(-4, 4), rng.choice((1, 5)))))
+    return nvars, rows
+
+
+def _assert_reduced_integer_rows(solver):
+    pivots = set(solver.pivrows)
+    mentions = {}
+    for pv, (prow, prhs) in solver.pivrows.items():
+        assert all(type(c) is int and c for c in prow.values()) and type(prhs) is int
+        assert prow[pv] > 0, (pv, prow)
+        assert gcd(prhs, *prow.values()) == 1, (pv, prow, prhs)
+        assert not (set(prow) - {pv}) & pivots, (pv, prow)
+        for k in prow:
+            if k != pv:
+                mentions.setdefault(k, set()).add(pv)
+    assert mentions == {k: s for k, s in solver._mentions.items() if s}
+
+
+def test_pivot_rows_are_primitive_positive_and_mutually_reduced():
+    rng = random.Random(11)
+    for _ in range(300):
+        nvars, rows = _random_system(rng)
+        solver = LinearSolver()
+        for row, rhs in rows:
+            try:
+                solver.add_equation(row, rhs)
+            except Inconsistent:
+                pass
+            _assert_reduced_integer_rows(solver)
+        sol = solver.particular_solution()
+        for pv, (prow, prhs) in solver.pivrows.items():
+            assert sum(Fraction(c) * sol.get(k, 0) for k, c in prow.items()) == prhs
