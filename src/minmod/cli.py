@@ -391,17 +391,34 @@ def _replay_checks(doc, command) -> list:
     return failures
 
 
+def _functional_monomial(alg, text):
+    """The monomial a functional entry names, with no coefficient."""
+    terms = parse_element(alg, text).terms
+    if list(terms.values()) != [1]:
+        raise ParseError(f"invalid report: functional entry {text!r} is not one monomial")
+    (mono,) = terms
+    return mono
+
+
 def _replay_volume(af, doc) -> list:
     alg = af.algebra
+    top = dimension_formula(alg)
     phi = {}
     for entry in doc["functional"]:
-        (mono,) = parse_element(alg, entry["monomial"]).terms
-        phi[mono] = Fraction(entry["value"])
-    functional = TopFunctional(alg, doc["degree"], phi)
+        phi[_functional_monomial(alg, entry["monomial"])] = Fraction(entry["value"])
     failures = []
+    if doc["degree"] != top:
+        failures.append(f"degree {doc['degree']} != formal dimension {top}")
+    rep = parse_element(alg, doc["representative"])
+    if rep.degrees_present() != [top]:
+        failures.append(f"representative is not a nonzero homogeneous element of degree {top}")
+    if extend_derivation(alg, rep):
+        failures.append("representative is not closed")
+    if any(alg.free.monomial_degree(m) != top for m in phi):
+        failures.append(f"functional has a monomial outside degree {top}")
+    functional = TopFunctional(alg, top, phi)
     if not functional.replay_annihilates_d():
         failures.append("functional does not annihilate d")
-    rep = parse_element(alg, doc["representative"])
     if functional.apply(rep) != 1:
         failures.append("functional does not normalize the representative")
     return failures

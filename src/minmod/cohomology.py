@@ -1,9 +1,16 @@
 """Exact graded linear algebra for Sullivan algebras.
 
-Differential matrices per degree, closed/exact tests with witnesses, Betti
-numbers, volume-form verification and the top-class functional that reads
-off mapping degrees.  Everything is solved by deterministic Gauss-Jordan
-elimination over Q (first nonzero pivot in basis order).
+Closed/exact tests with witnesses, Betti numbers, volume-form
+verification and the top-class functional that reads off mapping degrees.
+Everything is solved by deterministic Gauss-Jordan elimination over Q
+(first nonzero pivot in basis order).
+
+Exactness witnesses and top functionals are solved only on the block of d
+that holds the right-hand side: the columns reached from its monomials by
+inverting the Leibniz rule (:func:`_rhs_block`).  The rest of the system
+is homogeneous on other variables, so it neither constrains nor enters the
+solution.  The full matrix of d in one degree (:func:`d_matrix`) is built
+only for Betti numbers.
 """
 
 from __future__ import annotations
@@ -11,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import sub
 
 from .gca import Element, StructureError
 from .linalg import Inconsistent, LinearSolver
@@ -47,8 +55,7 @@ def d_matrix(alg: SullivanAlgebra, n: int) -> DifferentialMatrix:
     row_index = {m: r for r, m in enumerate(codomain)}
     columns = []
     for mono in domain:
-        img = extend_derivation(alg, Element(alg.free, {mono: ONE}))
-        columns.append({row_index[m]: c for m, c in img.terms.items()})
+        columns.append({row_index[m]: c for m, c in _derive(alg, mono).items()})
     return DifferentialMatrix(n, domain, codomain, columns)
 
 
@@ -63,6 +70,53 @@ def _rank_d(alg: SullivanAlgebra, n: int) -> int:
         if col:
             solver.add_equation(dict(col), ZERO)
     return solver.rank
+
+
+def _candidate_columns(alg: SullivanAlgebra, r):
+    """The monomials m whose d(m) may hold the monomial ``r``.
+
+    A term of d(m) is m / x_i * md for a Leibniz term (i, md) of ``alg``,
+    so m is r - md + x_i when that is a monomial: no negative exponent and
+    no odd exponent above 1.  Each lies in degree |r| - 1.
+    """
+    odd = alg.free.odd_indices
+    for i, dterms in alg.leibniz:
+        for md, _, _ in dterms:
+            m = list(map(sub, r, md))
+            m[i] += 1
+            if min(m) >= 0 and all(m[j] <= 1 for j in odd):
+                yield tuple(m)
+
+
+def _derive(alg: SullivanAlgebra, m) -> dict:
+    return extend_derivation(alg, Element(alg.free, {m: ONE})).terms
+
+
+def _rhs_block(alg: SullivanAlgebra, rows) -> dict:
+    """``{column: d(column) terms}`` for the block of d holding ``rows``.
+
+    A breadth-first walk over the row-column incidence graph of d, from the
+    monomials ``rows``: a candidate column joins when the row it was found
+    from is in the support of its image, and then all rows of that image
+    join the frontier.  Columns come in sorted monomial order, which is
+    basis order.
+    """
+    images: dict = {}
+    block = set()
+    frontier = list(rows)
+    seen = set(frontier)
+    for r in frontier:  # grows as rows join
+        for m in _candidate_columns(alg, r):
+            img = images.get(m)
+            if img is None:
+                img = images[m] = _derive(alg, m)
+            if m not in block and r in img:
+                block.add(m)
+                for rr in img:
+                    if rr not in seen:
+                        seen.add(rr)
+                        frontier.append(rr)
+    return {m: images[m] for m in sorted(block)}
 
 
 def is_closed(alg: SullivanAlgebra, e: Element) -> bool:
@@ -90,27 +144,20 @@ def is_exact(alg: SullivanAlgebra, e: Element):
         return ExactnessWitness(e, alg.free.zero())
     if not is_closed(alg, e):
         raise StructureError("is_exact requires a closed element")
-    n = e.degree()
-    if n == 0:
+    if e.degree() == 0:
         return None
-    mat = d_matrix(alg, n - 1)
-    row_index = {m: r for r, m in enumerate(mat.codomain)}
+    rhs = e.terms
     rows: dict = {}
-    for j, col in enumerate(mat.columns):
-        for r, c in col.items():
-            rows.setdefault(r, {})[j] = c
-    rhs = {}
-    for m, c in e.terms.items():
-        rhs[row_index[m]] = c
+    for m, img in _rhs_block(alg, rhs).items():
+        for r, c in img.items():
+            rows.setdefault(r, {})[m] = c
     solver = LinearSolver()
     try:
-        for r in sorted(set(rows) | set(rhs)):
+        for r in sorted(rows.keys() | rhs.keys()):
             solver.add_equation(rows.get(r, {}), rhs.get(r, ZERO))
     except Inconsistent:
         return None
-    sol = solver.particular_solution()
-    pre = alg.free.element({mat.domain[j]: c for j, c in sol.items()})
-    return ExactnessWitness(e, pre)
+    return ExactnessWitness(e, alg.free.element(solver.particular_solution()))
 
 
 @lru_cache(maxsize=None)
@@ -150,16 +197,15 @@ class TopFunctional:
         return ZERO if total is None else total
 
     def replay_annihilates_d(self) -> bool:
-        mat = d_matrix(self.alg, self.degree - 1)
-        for col in mat.columns:
-            s = ZERO
-            for r, c in col.items():
-                v = self.phi.get(mat.codomain[r])
-                if v:
-                    s += c * v
-            if s:
-                return False
-        return True
+        """phi(d(m)) = 0 for every monomial m.
+
+        Only the columns m whose d(m) meets the support of phi can fail;
+        they are the candidate columns of its monomials.
+        """
+        columns = {m for r, v in self.phi.items() if v
+                   for m in _candidate_columns(self.alg, r)}
+        return not any(self.apply(Element(self.alg.free, _derive(self.alg, m)))
+                       for m in columns)
 
 
 def top_functional_from_volume(alg: SullivanAlgebra, vol: Element):
@@ -168,20 +214,14 @@ def top_functional_from_volume(alg: SullivanAlgebra, vol: Element):
     Returns None iff vol is exact.
     """
     n = vol.degree()
-    mat = d_matrix(alg, n - 1)
-    basis = mat.codomain
-    row_index = {m: r for r, m in enumerate(basis)}
     solver = LinearSolver()
     try:
-        for col in mat.columns:
-            if col:
-                solver.add_equation(dict(col), ZERO)
-        solver.add_equation({row_index[m]: c for m, c in vol.terms.items()}, ONE)
+        for img in _rhs_block(alg, vol.terms).values():
+            solver.add_equation(img, ZERO)
+        solver.add_equation(vol.terms, ONE)
     except Inconsistent:
         return None
-    sol = solver.particular_solution()
-    phi = {basis[r]: c for r, c in sol.items()}
-    return TopFunctional(alg, n, phi)
+    return TopFunctional(alg, n, solver.particular_solution())
 
 
 def tensor_top_functional(prod: SullivanAlgebra, fa: TopFunctional, fb: TopFunctional) -> TopFunctional:

@@ -244,9 +244,11 @@ def ellipticity_certificate(alg: SullivanAlgebra):
             continue
         n_max = nilpotency_bound(alg, g)
         x = alg.gen(g.name)
+        xn = alg.free.one()
         found = None
         for n in range(1, n_max + 1):
-            witness = cohomology.is_exact(alg, x ** n)
+            xn = xn * x
+            witness = cohomology.is_exact(alg, xn)
             if witness is not None:
                 found = (n, witness.preimage)
                 break

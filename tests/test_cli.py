@@ -167,6 +167,35 @@ def test_replay_detects_tampering(capsys, tmp_path):
     assert code == FAIL and "replay FAIL" in out
 
 
+def _replay_tampered_volume(capsys, tmp_path, tamper):
+    code, out, _ = run(capsys, "--json", "volume", "chiral3(l=5)")
+    assert code == PASS
+    doc = json.loads(out)
+    tamper(doc)
+    p = tmp_path / "report.json"
+    p.write_text(json.dumps(doc))
+    return run(capsys, "replay", str(p))
+
+
+@pytest.mark.parametrize("field,value,reason", [
+    ("degree", 7, "degree 7 != formal dimension 47"),
+    # phi(x2^7*n2) = 1, but d(x2^7*n2) = x2^12
+    ("representative", "x2^7*n2", "representative is not closed"),
+], ids=["degree", "representative"])
+def test_replay_volume_checks_degree_and_representative(capsys, tmp_path, field, value, reason):
+    code, out, _ = _replay_tampered_volume(capsys, tmp_path,
+                                           lambda doc: doc.update({field: value}))
+    assert code == FAIL and f"replay FAIL: {reason}" in out
+
+
+@pytest.mark.parametrize("monomial", ["x1 + x2", "2*x1"])
+def test_replay_rejects_functional_entry_that_is_not_one_monomial(capsys, tmp_path, monomial):
+    code, out, err = _replay_tampered_volume(
+        capsys, tmp_path, lambda doc: doc["functional"][0].update(monomial=monomial))
+    assert code == USAGE and not out
+    assert err == f"invalid report: functional entry {monomial!r} is not one monomial\n"
+
+
 def test_replay_rejects_malformed_report(capsys, tmp_path):
     p = tmp_path / "report.json"
     doc = {"schema": "minmod-report/1", "command": "nonesuch"}

@@ -4,7 +4,8 @@
 exit code and the exact stdout of ``cli.main``.  It was written by running
 this file as a script, ``PYTHONPATH=src python tests/test_golden.py``,
 before the arithmetic kernels behind these commands were rewritten, so a
-byte difference here is a change of behaviour.  Regenerate it only for a
+byte difference here is a change of behaviour.  Every check, volume,
+spectrum and flex report in it must also replay.  Regenerate it only for a
 change whose report differences are intended and explained.
 """
 
@@ -47,6 +48,18 @@ def test_golden_reports_are_byte_identical():
     assert sorted(golden) == sorted(" ".join(a) for a in _argvs())
     for argv in _argvs():
         assert _run(argv) == golden[" ".join(argv)], argv
+
+
+def test_golden_reports_replay(tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    report = tmp_path / "report.json"
+    for argv in _argvs():
+        if argv[1] not in ("check", "volume", "spectrum", "flex"):
+            continue
+        report.write_text(golden[" ".join(argv)]["stdout"], encoding="utf-8")
+        result = _run(["replay", str(report)])
+        assert result["code"] == 0, argv
+        assert result["stdout"] == f"replayed {argv[1]}: all certificates verify\n", argv
 
 
 if __name__ == "__main__":

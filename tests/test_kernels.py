@@ -4,8 +4,10 @@ Each reference below is the earlier implementation, kept verbatim in
 behaviour: ``extend_derivation`` as a three-Element product per Leibniz
 term, ``_even_fills`` as a recursive generator, the bigraded cohomology
 basis with one derivation pass per kernel and per image, ``LinearSolver``
-as Gauss-Jordan on Fraction rows, and ``apply_algebra_map`` as a sum of
-Element products.
+as Gauss-Jordan on Fraction rows, ``apply_algebra_map`` as a sum of
+Element products, and ``is_exact``, ``top_functional_from_volume`` and
+``TopFunctional.replay_annihilates_d`` on the full matrix of d in one
+degree.
 """
 
 import random
@@ -14,14 +16,16 @@ from fractions import Fraction
 import pytest
 
 from conftest import ALL_KEYS, built, certified
+from minmod.cohomology import (ExactnessWitness, TopFunctional, d_matrix, is_closed,
+                               is_exact, top_functional_from_volume)
 from minmod.endo import generic_ansatz
-from minmod.flexcert import (_independent_modulo, bigraded_cohomology_basis,
-                             construct_lower_grading)
+from minmod.flexcert import (_independent_modulo, _kernel_elements,
+                             bigraded_cohomology_basis, construct_lower_grading)
 from minmod.gca import Element, FreeGCA, Generator, _even_fills
 from minmod.flexcert import scaling_images
 from minmod.linalg import Inconsistent, LinearSolver
 from minmod.sullivan import (SullivanAlgebra, apply_algebra_map, dimension_formula,
-                             extend_derivation)
+                             extend_derivation, tensor_product)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -137,6 +141,64 @@ def reference_apply_algebra_map(target, images, e, box=None):
                     term = term.mul(images[name], box)
         out = out + term
     return out
+
+
+def reference_is_exact(alg, e):
+    if not e:
+        return ExactnessWitness(e, alg.free.zero())
+    assert is_closed(alg, e)
+    n = e.degree()
+    if n == 0:
+        return None
+    mat = d_matrix(alg, n - 1)
+    row_index = {m: r for r, m in enumerate(mat.codomain)}
+    rows: dict = {}
+    for j, col in enumerate(mat.columns):
+        for r, c in col.items():
+            rows.setdefault(r, {})[j] = c
+    rhs = {}
+    for m, c in e.terms.items():
+        rhs[row_index[m]] = c
+    solver = LinearSolver()
+    try:
+        for r in sorted(set(rows) | set(rhs)):
+            solver.add_equation(rows.get(r, {}), rhs.get(r, ZERO))
+    except Inconsistent:
+        return None
+    sol = solver.particular_solution()
+    pre = alg.free.element({mat.domain[j]: c for j, c in sol.items()})
+    return ExactnessWitness(e, pre)
+
+
+def reference_top_functional_from_volume(alg, vol):
+    n = vol.degree()
+    mat = d_matrix(alg, n - 1)
+    basis = mat.codomain
+    row_index = {m: r for r, m in enumerate(basis)}
+    solver = LinearSolver()
+    try:
+        for col in mat.columns:
+            if col:
+                solver.add_equation(dict(col), ZERO)
+        solver.add_equation({row_index[m]: c for m, c in vol.terms.items()}, ONE)
+    except Inconsistent:
+        return None
+    sol = solver.particular_solution()
+    phi = {basis[r]: c for r, c in sol.items()}
+    return TopFunctional(alg, n, phi)
+
+
+def reference_replay_annihilates_d(functional):
+    mat = d_matrix(functional.alg, functional.degree - 1)
+    for col in mat.columns:
+        s = ZERO
+        for r, c in col.items():
+            v = functional.phi.get(mat.codomain[r])
+            if v:
+                s += c * v
+        if s:
+            return False
+    return True
 
 
 def reference_even_fills(degrees, target):
@@ -412,3 +474,107 @@ def test_apply_algebra_map_matches_element_products_when_terms_cancel(key, param
             for box in (None, _random_box(rng, alg)):
                 _same(apply_algebra_map(alg, images, e, box),
                       reference_apply_algebra_map(alg, images, e, box))
+
+
+def _same_witness(alg, e):
+    new, ref = is_exact(alg, e), reference_is_exact(alg, e)
+    assert (new is None) == (ref is None), e
+    if ref is not None:
+        _same(new.preimage, ref.preimage)
+    return ref is not None
+
+
+@pytest.mark.parametrize("key,params", ALL_KEYS, ids=[_id(*kp) for kp in ALL_KEYS])
+def test_is_exact_matches_full_matrix_reference_on_powers(key, params):
+    af, cert = built(key, **params)
+    alg = af.algebra
+    for name, (n_min, _) in cert.powers.items():
+        x = alg.gen(name)
+        exact = [_same_witness(alg, x ** n) for n in range(1, n_min + 1)]
+        assert exact == [False] * (n_min - 1) + [True], name
+
+
+def _cocycles(alg, n):
+    """A kernel basis of d in degree n."""
+    monos = alg.basis_of_degree(n)
+    return _kernel_elements(alg.free, monos,
+                            [extend_derivation(alg, Element(alg.free, {m: ONE})) for m in monos])
+
+
+@pytest.mark.parametrize("key,params", ALL_KEYS, ids=[_id(*kp) for kp in ALL_KEYS])
+def test_is_exact_matches_full_matrix_reference_on_random_cocycles(key, params):
+    alg = built(key, **params)[0].algebra
+    rng = random.Random(f"exact{key}{sorted(params.items())}")
+    # up to the ellipticity search's ceiling, where every even power is exact
+    degrees = [n for n in range(2, dimension_formula(alg) + alg.max_degree() + 1)
+               if 0 < len(alg.basis_of_degree(n)) <= 120]
+    outcomes = set()
+    for n in degrees + rng.choices(degrees, k=6):
+        cocycles = _cocycles(alg, n)
+        boundary = extend_derivation(alg, _random_element(rng, alg, n - 1))
+        e = boundary
+        for z in rng.sample(cocycles, min(len(cocycles), rng.randint(0, 3))):
+            e = e + z.scale(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        if boundary:
+            outcomes.add(_same_witness(alg, boundary))
+        if e:
+            outcomes.add(_same_witness(alg, e))
+    # both exact and non-exact cocycles were compared
+    assert outcomes == {True, False}
+
+
+def _same_functional(alg, vol):
+    new = top_functional_from_volume(alg, vol)
+    ref = reference_top_functional_from_volume(alg, vol)
+    assert new.degree == ref.degree
+    assert list(new.phi.items()) == list(ref.phi.items())
+
+
+PRODUCT_PAIRS = ((("chiral3", {"l": 5}), ("chiral3", {"l": 5})),
+                 (("chiral2", {"l": 4}), ("lower-grading", {})),
+                 (("lower-grading", {}), ("lower-grading", {})))
+
+
+@pytest.mark.parametrize("key,params", ALL_KEYS, ids=[_id(*kp) for kp in ALL_KEYS])
+def test_top_functional_matches_full_matrix_reference(key, params):
+    af = built(key, **params)[0]
+    alg = af.algebra
+    _same_functional(alg, af.volume)
+    # an exact top-degree element has no functional in either
+    rng = random.Random(f"top{key}")
+    for _ in range(5):
+        boundary = extend_derivation(alg, _random_element(rng, alg, af.volume.degree() - 1))
+        if boundary:
+            assert top_functional_from_volume(alg, boundary) is None
+            assert reference_top_functional_from_volume(alg, boundary) is None
+
+
+@pytest.mark.parametrize("left,right", PRODUCT_PAIRS,
+                         ids=[f"{a[0]}x{b[0]}" for a, b in PRODUCT_PAIRS])
+def test_top_functional_matches_reference_on_product_factors(left, right):
+    a, cert_a = built(left[0], **left[1])
+    b, cert_b = built(right[0], **right[1])
+    prod = tensor_product(a.algebra, b.algebra, cert_a, cert_b, a.volume, b.volume)
+    for factor, _, vol in prod.tensor_factors:
+        _same_functional(factor, vol)
+
+
+@pytest.mark.parametrize("key,params", ALL_KEYS, ids=[_id(*kp) for kp in ALL_KEYS])
+def test_replay_annihilates_d_matches_full_matrix_reference(key, params):
+    af, _, vol = certified(key, **params)
+    alg, functional = af.algebra, vol.functional
+    rng = random.Random(f"replay{key}")
+    outside = [m for m in alg.basis_of_degree(vol.degree) if m not in functional.phi]
+    tampered = []
+    for _ in range(3):
+        # one value changed
+        phi = dict(functional.phi)
+        phi[rng.choice(list(phi))] += rng.choice((-1, 1))
+        tampered.append(phi)
+        # one monomial added
+        if outside:
+            tampered.append({**functional.phi, rng.choice(outside): Fraction(rng.randint(1, 5))})
+    assert functional.replay_annihilates_d() and reference_replay_annihilates_d(functional)
+    for phi in tampered:
+        f = TopFunctional(alg, vol.degree, phi)
+        assert f.replay_annihilates_d() == reference_replay_annihilates_d(f)
