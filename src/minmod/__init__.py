@@ -7,7 +7,7 @@ command-line front end and :mod:`minmod.catalog` for built-in presentations.
 """
 
 from .gca import Element, FreeGCA, Generator, StructureError
-from .sullivan import (SullivanAlgebra, apply_algebra_map, check_d_squared,
+from .sullivan import (SullivanAlgebra, TensorProduct, apply_algebra_map, check_d_squared,
                        check_minimality, dimension_formula,
                        eliminate_contractible_pair, ellipticity_certificate,
                        extend_derivation, formal_dimension, tensor_product)
@@ -22,7 +22,7 @@ from .dsl import ParseError, parse_algebra, parse_element, parse_morphism
 from .catalog import build as catalog_build
 
 __all__ = [
-    "Element", "FreeGCA", "Generator", "StructureError", "SullivanAlgebra",
+    "Element", "FreeGCA", "Generator", "StructureError", "SullivanAlgebra", "TensorProduct",
     "apply_algebra_map", "check_d_squared", "check_minimality",
     "dimension_formula", "eliminate_contractible_pair",
     "ellipticity_certificate", "extend_derivation", "formal_dimension",

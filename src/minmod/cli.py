@@ -391,6 +391,14 @@ def _replay_checks(doc, command) -> list:
     return failures
 
 
+def _rational(text) -> Fraction:
+    """A rational number a report states, or ParseError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"invalid report: {text!r} is not a rational number") from None
+
+
 def _functional_monomial(alg, text):
     """The monomial a functional entry names, with no coefficient."""
     terms = parse_element(alg, text).terms
@@ -405,7 +413,7 @@ def _replay_volume(af, doc) -> list:
     top = dimension_formula(alg)
     phi = {}
     for entry in doc["functional"]:
-        phi[_functional_monomial(alg, entry["monomial"])] = Fraction(entry["value"])
+        phi[_functional_monomial(alg, entry["monomial"])] = _rational(entry["value"])
     failures = []
     if doc["degree"] != top:
         failures.append(f"degree {doc['degree']} != formal dimension {top}")
@@ -442,12 +450,13 @@ def _replay_morphisms(af, doc, command) -> list:
         if doc.get("scaling"):
             entries.append((doc["scaling"]["morphism"], doc["scaling"]["degree"], "scaling"))
     for lines, degree, label in entries:
+        degree = None if degree is None else _rational(degree)
         images = parse_morphism(alg, "\n".join(lines))
         rep = verify_morphism(alg, images, vol)
         tag = f" ({label})" if label else ""
         if not rep.valid:
             failures.append(f"morphism{tag} fails at {rep.failing}")
-        elif degree is not None and vol is not None and rep.degree != Fraction(degree):
+        elif degree is not None and vol is not None and rep.degree != degree:
             failures.append(f"morphism{tag} degree {rep.degree} != {degree}")
     return failures
 

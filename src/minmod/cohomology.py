@@ -22,7 +22,8 @@ from operator import sub
 
 from .gca import Element, StructureError
 from .linalg import Inconsistent, LinearSolver
-from .sullivan import SullivanAlgebra, extend_derivation, dimension_formula
+from .sullivan import (EllipticityCertificate, SullivanAlgebra, TensorProduct,
+                       dimension_formula, extend_derivation)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -224,21 +225,6 @@ def top_functional_from_volume(alg: SullivanAlgebra, vol: Element):
     return TopFunctional(alg, n, solver.particular_solution())
 
 
-def tensor_top_functional(prod: SullivanAlgebra, fa: TopFunctional, fb: TopFunctional) -> TopFunctional:
-    """phi_A (x) phi_B on a tensor product, supported on bidegree (top, top).
-
-    Vanishing on exact forms follows from the Kunneth decomposition; tests
-    spot-check it on random elements since the full top-degree solve is out
-    of reach on products.
-    """
-    phi = {}
-    for ma, ca in fa.phi.items():
-        for mb, cb in fb.phi.items():
-            if ca and cb:
-                phi[ma + mb] = ca * cb
-    return TopFunctional(prod, fa.degree + fb.degree, phi)
-
-
 @dataclass
 class VolumeForm:
     representative: Element
@@ -253,8 +239,6 @@ def verify_volume_form(alg: SullivanAlgebra, e: Element, cert) -> VolumeForm:
     returned VolumeForm carries the separating functional used to certify
     non-exactness (and later to read off mapping degrees).
     """
-    from .sullivan import EllipticityCertificate
-
     if not isinstance(cert, EllipticityCertificate):
         raise VolumeRejection("no ellipticity certificate: formal dimension undefined")
     if not e:
@@ -266,8 +250,8 @@ def verify_volume_form(alg: SullivanAlgebra, e: Element, cert) -> VolumeForm:
         raise VolumeRejection(f"degree {e.degree()} != formal dimension {top}")
     if extend_derivation(alg, e):
         raise VolumeRejection("not closed")
-    if alg.tensor_factors is not None:
-        functional = _tensor_volume_functional(alg, e)
+    if isinstance(alg, TensorProduct):
+        functional = _product_functional(alg, e)
     else:
         functional = top_functional_from_volume(alg, e)
     if functional is None:
@@ -275,32 +259,32 @@ def verify_volume_form(alg: SullivanAlgebra, e: Element, cert) -> VolumeForm:
     return VolumeForm(e, top, functional)
 
 
-def _tensor_volume_functional(alg: SullivanAlgebra, e: Element):
-    """Build the product functional and check it separates e."""
-    (a, cert_a, vol_a), (b, cert_b, vol_b) = alg.tensor_factors
-    fa = _factor_functional(a, cert_a, vol_a)
-    fb = _factor_functional(b, cert_b, vol_b)
-    f = tensor_top_functional(alg, fa, fb)
-    lam = f.apply(e)
+def _product_functional(prod: TensorProduct, e: Element) -> TopFunctional:
+    """phi_A (x) phi_B from the factors' verified volume forms, scaled to phi(e) = 1.
+
+    It is supported on bidegree (top, top) and vanishes on exact forms by
+    the Kunneth decomposition, so two factor solves stand in for a far
+    larger one on the product.  Raises VolumeRejection when it misses e.
+    """
+    phis = []
+    for factor, cert, vol in prod.factors:
+        if vol is None:
+            raise StructureError("tensor factor carries no volume representative")
+        phis.append(verify_volume_form(factor, vol, cert).functional.phi)
+    fa, fb = phis
+    phi = {ma + mb: ca * cb for ma, ca in fa.items() if ca for mb, cb in fb.items() if cb}
+    top = e.degree()
+    lam = TopFunctional(prod, top, phi).apply(e)
     if not lam:
         raise VolumeRejection("not separated by the product functional")
-    if lam != ONE:
-        f = TopFunctional(alg, f.degree, {m: c / lam for m, c in f.phi.items()})
-    return f
-
-
-def _factor_functional(factor: SullivanAlgebra, cert, vol) -> TopFunctional:
-    if vol is None:
-        raise StructureError("tensor factor carries no volume representative")
-    return verify_volume_form(factor, vol, cert).functional
+    return TopFunctional(prod, top, {m: c / lam for m, c in phi.items()})
 
 
 def _top_cohomology_is_one_dimensional(alg: SullivanAlgebra, n: int) -> bool:
-    if alg.tensor_factors is not None:
+    if isinstance(alg, TensorProduct):
         # Kunneth: the top line is the product of the factor top lines
-        (a, *_), (b, *_) = alg.tensor_factors
-        return (_top_cohomology_is_one_dimensional(a, dimension_formula(a))
-                and _top_cohomology_is_one_dimensional(b, dimension_formula(b)))
+        return all(_top_cohomology_is_one_dimensional(f, dimension_formula(f))
+                   for f, _, _ in alg.factors)
     return betti(alg, n) == 1
 
 

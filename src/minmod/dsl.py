@@ -160,11 +160,6 @@ class _ExprParser:
         raise ParseError(f"unexpected token {t.value!r}", t.line, t.col)
 
 
-def _eval_expr(tokens, line, symbols):
-    v = _ExprParser(tokens, line, symbols).parse()
-    return v
-
-
 @dataclass
 class AlgebraFile:
     """A parsed presentation: generators, differentials, optional volume."""
@@ -193,14 +188,14 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
         if head.value == "param":
             if len(toks) < 4 or toks[2].value != "=":
                 raise ParseError("expected: param NAME = INT", line_no, head.col)
-            val = _eval_expr(toks[3:], line_no, dict(params))
+            val = _ExprParser(toks[3:], line_no, dict(params)).parse()
             if not isinstance(val, Fraction) or val.denominator != 1:
                 raise ParseError("param value must be an integer", line_no, toks[3].col)
             params[toks[1].value] = Fraction(val)
         elif head.value == "gen":
             if len(toks) < 4 or toks[1].kind != "name" or toks[2].value != ":":
                 raise ParseError("expected: gen NAME : DEGREE", line_no, head.col)
-            deg = _eval_expr(toks[3:], line_no, dict(params))
+            deg = _ExprParser(toks[3:], line_no, dict(params)).parse()
             if not isinstance(deg, Fraction) or deg.denominator != 1 or deg < 2:
                 raise ParseError(f"degree must be an integer >= 2, got {deg}", line_no, toks[3].col)
             gen_decls.append((toks[1].value, int(deg)))
@@ -227,7 +222,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
         if gname not in free.index:
             raise ParseError(f"differential for unknown generator {gname!r}", line_no, 1)
         try:
-            val = _eval_expr(toks, line_no, symbols)
+            val = _ExprParser(toks, line_no, symbols).parse()
         except StructureError as exc:
             raise ParseError(str(exc), line_no, 1) from exc
         if isinstance(val, Fraction):
@@ -244,7 +239,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
     volume = None
     if volume_tokens is not None:
         toks, line_no = volume_tokens
-        volume = _eval_expr(toks, line_no, symbols)
+        volume = _ExprParser(toks, line_no, symbols).parse()
         if isinstance(volume, Fraction):
             raise ParseError("volume must be an algebra element", line_no, 1)
 
@@ -260,7 +255,7 @@ def parse_element(alg: SullivanAlgebra, text: str) -> Element:
     """Parse a single expression in the context of an algebra."""
     symbols = {g.name: alg.gen(g.name) for g in alg.generators}
     toks = _tokenize(text, 1)
-    v = _eval_expr(toks, 1, symbols)
+    v = _ExprParser(toks, 1, symbols).parse()
     if isinstance(v, Fraction):
         return alg.free.one().scale(v)
     return v
@@ -280,7 +275,7 @@ def parse_morphism(alg: SullivanAlgebra, text: str) -> dict:
         gname = toks[1].value
         if gname not in alg.free.index:
             raise ParseError(f"unknown generator {gname!r}", line_no, toks[1].col)
-        val = _eval_expr(toks[3:], line_no, symbols)
+        val = _ExprParser(toks[3:], line_no, symbols).parse()
         if isinstance(val, Fraction):
             val = alg.free.one().scale(val) if val else alg.free.zero()
         images[gname] = val

@@ -46,10 +46,6 @@ class EndoAnsatz:
     rows: tuple          # per generator: tuple of (unknown name, monomial)
     images: dict         # generator name -> Element with MPoly coefficients
     diagonal: frozenset  # unknowns multiplying the generator's own monomial
-    by_slot: dict        # (generator name, monomial) -> unknown name
-
-    def unknown_for(self, gen_name, monomial) -> str:
-        return self.by_slot[(gen_name, monomial)]
 
     def unknowns(self):
         return [u for row in self.rows for u, _ in row]
@@ -60,7 +56,6 @@ def generic_ansatz(alg: SullivanAlgebra) -> EndoAnsatz:
     rows = []
     images = {}
     diagonal = set()
-    by_slot = {}
     counter = 0
     for g in alg.generators:
         own = free.monomial(**{g.name: 1})
@@ -72,11 +67,10 @@ def generic_ansatz(alg: SullivanAlgebra) -> EndoAnsatz:
             u = f"k{counter}"
             row.append((u, mono))
             terms[mono] = MPoly.var(u)
-            by_slot[(g.name, mono)] = u
         diagonal.add(row[0][0])
         rows.append(tuple(row))
         images[g.name] = Element(free, terms)
-    return EndoAnsatz(alg, tuple(rows), images, frozenset(diagonal), by_slot)
+    return EndoAnsatz(alg, tuple(rows), images, frozenset(diagonal))
 
 
 def _dedup_key(p: MPoly) -> frozenset:
@@ -637,8 +631,6 @@ class DegreeSpectrumVerdict:
     flexible: bool
     complete: bool
     leaves: tuple
-    extracted: tuple             # raw constraint polynomials
-    config: SolverConfig
 
     def describe(self) -> str:
         parts = [self.classification]
@@ -887,5 +879,4 @@ def degree_spectrum(alg: SullivanAlgebra, vol: VolumeForm,
     else:
         classification = "Inconclusive"
     return DegreeSpectrumVerdict(classification, tuple(constants), tuple(families),
-                                 flexible, complete, tuple(leaves),
-                                 tuple(extracted), config)
+                                 flexible, complete, tuple(leaves))

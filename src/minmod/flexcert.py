@@ -107,7 +107,6 @@ class ScalingCertificate:
     alg: SullivanAlgebra
     grading: LowerGrading
     base: int
-    exponents: tuple  # per generator, i + j
     images: dict      # name -> Element
     degree: Fraction
 
@@ -151,8 +150,7 @@ def scaling_certificate(alg: SullivanAlgebra, grading: LowerGrading, vol,
         raise StructureError(f"scaling morphism failed verification at {report.failing}")
     if not report.degree:
         raise StructureError("scaling morphism has zero degree")
-    exps = tuple(grading.degrees[i] + g.degree for i, g in enumerate(alg.generators))
-    return ScalingCertificate(alg, grading, base, exps, images, report.degree)
+    return ScalingCertificate(alg, grading, base, images, report.degree)
 
 
 # -- k-th multiples ---------------------------------------------------------

@@ -221,9 +221,6 @@ class Element:
     def __setattr__(self, *a):
         raise AttributeError("Element is immutable")
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 

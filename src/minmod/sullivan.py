@@ -30,11 +30,10 @@ class SullivanAlgebra:
     are separate, explicit checks.
     """
 
-    def __init__(self, free: FreeGCA, diff: dict, name: str = "", tensor_factors=None):
+    def __init__(self, free: FreeGCA, diff: dict, name: str = ""):
         self.free = free
         self.generators = free.generators
         self.name = name
-        self.tensor_factors = tensor_factors
         images = []
         for i, g in enumerate(self.generators):
             img = diff.get(g.name, free.zero())
@@ -236,8 +235,6 @@ def ellipticity_certificate(alg: SullivanAlgebra):
     """Certify nilpotency of every even generator, with exactness witnesses."""
     from . import cohomology
 
-    if alg.tensor_factors is not None:
-        return _tensor_certificate(alg)
     powers = {}
     for g in alg.generators:
         if g.is_odd:
@@ -258,18 +255,6 @@ def ellipticity_certificate(alg: SullivanAlgebra):
     return EllipticityCertificate(alg, powers)
 
 
-def _tensor_certificate(alg: SullivanAlgebra):
-    """Assemble a product certificate by embedding the factor witnesses."""
-    (a, cert_a, _), (b, cert_b, _) = alg.tensor_factors
-    if cert_a is None or cert_b is None:
-        raise StructureError("tensor factors carry no ellipticity certificates")
-    powers = {}
-    for factor, cert, embed in ((a, cert_a, alg.embed_left), (b, cert_b, alg.embed_right)):
-        for name, (n, w) in cert.powers.items():
-            powers[alg.embedded_name(factor, name)] = (n, embed(w))
-    return EllipticityCertificate(alg, powers)
-
-
 @dataclass(frozen=True)
 class FormalDimension:
     value: int
@@ -285,44 +270,42 @@ def formal_dimension(alg: SullivanAlgebra, cert) -> FormalDimension:
 # -- tensor products -------------------------------------------------------
 
 
-def tensor_product(a: SullivanAlgebra, b: SullivanAlgebra,
-                   cert_a=None, cert_b=None, vol_a=None, vol_b=None) -> SullivanAlgebra:
-    """The product algebra with the product differential.
+class TensorProduct(SullivanAlgebra):
+    """The product algebra A (x) B with the product differential.
 
     Generator names are suffixed with the factor index when the two factor
-    name sets collide.  The result keeps embedding helpers and the factor
-    certificates (if given) so product-level certificates stay cheap.
+    name sets collide.  ``factors`` keeps each factor with its ellipticity
+    certificate and volume representative (None when not given), from which
+    the product's top functional is built.  A product is certified like any
+    other algebra: an A-only power x^n meets only A's block of d, so the
+    search finds each factor's exponent and witness.
     """
-    collide = bool({g.name for g in a.generators} & {g.name for g in b.generators})
 
-    def rename(name, k):
-        return f"{name}_{k}" if collide else name
+    def __init__(self, a: SullivanAlgebra, b: SullivanAlgebra,
+                 cert_a=None, cert_b=None, vol_a=None, vol_b=None):
+        self.factors = ((a, cert_a, vol_a), (b, cert_b, vol_b))
+        collide = bool({g.name for g in a.generators} & {g.name for g in b.generators})
+        gens = [Generator(f"{g.name}_{k}" if collide else g.name, g.degree)
+                for k, factor in ((1, a), (2, b)) for g in factor.generators]
+        self.free = FreeGCA(gens)
+        self._a_zeros = (0,) * len(a.generators)
+        self._b_zeros = (0,) * len(b.generators)
+        images = [*map(self.embed_left, a.diff), *map(self.embed_right, b.diff)]
+        super().__init__(self.free, {g.name: img for g, img in zip(gens, images)},
+                         name=f"{a.name or 'A'}(x){b.name or 'B'}")
 
-    gens = [Generator(rename(g.name, 1), g.degree) for g in a.generators]
-    gens += [Generator(rename(g.name, 2), g.degree) for g in b.generators]
-    free = FreeGCA(gens)
-    na = len(a.generators)
-    nb = len(b.generators)
+    def embed_left(self, e: Element) -> Element:
+        """An element of the first factor, as an element of the product."""
+        zeros = self._b_zeros
+        return Element(self.free, {m + zeros: c for m, c in e.terms.items()})
 
-    def embed_left(e: Element) -> Element:
-        return Element(free, {m + (0,) * nb: c for m, c in e.terms.items()})
+    def embed_right(self, e: Element) -> Element:
+        """An element of the second factor, as an element of the product."""
+        zeros = self._a_zeros
+        return Element(self.free, {zeros + m: c for m, c in e.terms.items()})
 
-    def embed_right(e: Element) -> Element:
-        return Element(free, {(0,) * na + m: c for m, c in e.terms.items()})
 
-    diff = {}
-    for g, dg in zip(a.generators, a.diff):
-        diff[rename(g.name, 1)] = embed_left(dg)
-    for g, dg in zip(b.generators, b.diff):
-        diff[rename(g.name, 2)] = embed_right(dg)
-
-    prod = SullivanAlgebra(free, diff,
-                           name=f"{a.name or 'A'}(x){b.name or 'B'}",
-                           tensor_factors=((a, cert_a, vol_a), (b, cert_b, vol_b)))
-    prod.embed_left = embed_left
-    prod.embed_right = embed_right
-    prod.embedded_name = lambda factor, nm: rename(nm, 1 if factor is a else 2)
-    return prod
+tensor_product = TensorProduct
 
 
 # -- contractible pairs ----------------------------------------------------

@@ -167,14 +167,18 @@ def test_replay_detects_tampering(capsys, tmp_path):
     assert code == FAIL and "replay FAIL" in out
 
 
-def _replay_tampered_volume(capsys, tmp_path, tamper):
-    code, out, _ = run(capsys, "--json", "volume", "chiral3(l=5)")
+def _replay_tampered(capsys, tmp_path, argv, tamper):
+    code, out, _ = run(capsys, "--json", *argv)
     assert code == PASS
     doc = json.loads(out)
     tamper(doc)
     p = tmp_path / "report.json"
     p.write_text(json.dumps(doc))
     return run(capsys, "replay", str(p))
+
+
+def _replay_tampered_volume(capsys, tmp_path, tamper):
+    return _replay_tampered(capsys, tmp_path, ("volume", "chiral3(l=5)"), tamper)
 
 
 @pytest.mark.parametrize("field,value,reason", [
@@ -194,6 +198,21 @@ def test_replay_rejects_functional_entry_that_is_not_one_monomial(capsys, tmp_pa
         capsys, tmp_path, lambda doc: doc["functional"][0].update(monomial=monomial))
     assert code == USAGE and not out
     assert err == f"invalid report: functional entry {monomial!r} is not one monomial\n"
+
+
+@pytest.mark.parametrize("argv,tamper,text", [
+    (("volume", "chiral3(l=5)"), lambda doc: doc["functional"][0].update(value="1/0"), "1/0"),
+    (("spectrum", "cp(n=4)"), lambda doc: doc["witnesses"][0].update(degree="3/0"), "3/0"),
+    (("flex", "lower-grading"), lambda doc: doc["scaling"].update(degree="two"), "two"),
+    (("verify", "cp(n=4)", "{identity}"), lambda doc: doc.update(degree="1/0"), "1/0"),
+], ids=["volume", "spectrum", "flex", "verify"])
+def test_replay_rejects_a_number_that_is_not_rational(capsys, tmp_path, argv, tamper, text):
+    identity = tmp_path / "identity.mor"
+    identity.write_text("f x = x\nf y = y\n")
+    argv = [a.format(identity=identity) for a in argv]
+    code, out, err = _replay_tampered(capsys, tmp_path, argv, tamper)
+    assert code == USAGE and not out
+    assert err == f"invalid report: {text!r} is not a rational number\n"
 
 
 def test_replay_rejects_malformed_report(capsys, tmp_path):

@@ -10,7 +10,8 @@ from minmod.cohomology import (VolumeRejection, betti, betti_table, d_matrix,
                                verify_volume_form)
 from minmod.dsl import parse_element
 from minmod.gca import StructureError
-from minmod.sullivan import apply_algebra_map, extend_derivation
+from minmod.sullivan import (apply_algebra_map, dimension_formula, ellipticity_certificate,
+                             extend_derivation, tensor_product)
 
 
 def test_d_matrix_shapes():
@@ -83,6 +84,29 @@ def test_verify_volume_form_rejections():
         verify_volume_form(alg, parse_element(alg, "a*n*m"), cert)  # not closed
     with pytest.raises(VolumeRejection):
         verify_volume_form(alg, af.volume, None)  # no certificate
+
+
+def test_product_volume_needs_both_factor_volumes():
+    a, cert = built("chiral3", l=5)
+    prod = tensor_product(a.algebra, a.algebra, cert, cert, a.volume, None)
+    pv = prod.embed_left(a.volume) * prod.embed_right(a.volume)
+    with pytest.raises(StructureError,
+                       match="^tensor factor carries no volume representative$"):
+        verify_volume_form(prod, pv, ellipticity_certificate(prod))
+
+
+def test_product_functional_is_normalized_and_rejects_what_it_misses():
+    a, cert = built("chiral3", l=5)
+    prod = tensor_product(a.algebra, a.algebra, cert, cert, a.volume, a.volume)
+    pcert = ellipticity_certificate(prod)
+    pv = prod.embed_left(a.volume) * prod.embed_right(a.volume)
+    functional = verify_volume_form(prod, pv.scale(Fraction(-2, 3)), pcert).functional
+    assert functional.apply(pv) == Fraction(-3, 2)
+    boundary = extend_derivation(prod, parse_element(prod, "x2_2^18*n3_2"))
+    assert boundary and boundary.degree() == dimension_formula(prod)
+    with pytest.raises(VolumeRejection) as exc:
+        verify_volume_form(prod, boundary, pcert)
+    assert exc.value.reason == "not separated by the product functional"
 
 
 def test_top_class_coefficient():

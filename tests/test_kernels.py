@@ -25,7 +25,7 @@ from minmod.gca import Element, FreeGCA, Generator, _even_fills
 from minmod.flexcert import scaling_images
 from minmod.linalg import Inconsistent, LinearSolver
 from minmod.sullivan import (SullivanAlgebra, apply_algebra_map, dimension_formula,
-                             extend_derivation, tensor_product)
+                             ellipticity_certificate, extend_derivation, tensor_product)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -555,8 +555,40 @@ def test_top_functional_matches_reference_on_product_factors(left, right):
     a, cert_a = built(left[0], **left[1])
     b, cert_b = built(right[0], **right[1])
     prod = tensor_product(a.algebra, b.algebra, cert_a, cert_b, a.volume, b.volume)
-    for factor, _, vol in prod.tensor_factors:
+    for factor, _, vol in prod.factors:
         _same_functional(factor, vol)
+
+
+def reference_tensor_certificate(prod, a, cert_a, b, cert_b):
+    """The factor witnesses embedded into ``prod``, as products were once certified.
+
+    A generator of ``a`` keeps its index in ``prod`` and one of ``b`` follows
+    all of ``a``'s; each witness is padded with zero exponents.
+    """
+    names = [g.name for g in prod.generators]
+    na, nb = len(a.generators), len(b.generators)
+    powers = {}
+    for factor, cert, left, right in ((a, cert_a, (), (0,) * nb), (b, cert_b, (0,) * na, ())):
+        for name, (n, w) in cert.powers.items():
+            name = names[len(left) + factor.free.index[name]]
+            powers[name] = (n, Element(prod.free, {left + m + right: c
+                                                   for m, c in w.terms.items()}))
+    return powers
+
+
+CERTIFIED_PAIRS = PRODUCT_PAIRS + ((("lemma", {"i": 0}), ("lemma", {"i": 0})),
+                                   (("lemma", {"i": 0}), ("sphere", {"k": 6})))
+
+
+@pytest.mark.parametrize("left,right", CERTIFIED_PAIRS,
+                         ids=[f"{a[0]}x{b[0]}" for a, b in CERTIFIED_PAIRS])
+def test_product_certificate_is_the_embedded_factor_certificates(left, right):
+    a, cert_a = built(left[0], **left[1])
+    b, cert_b = built(right[0], **right[1])
+    prod = tensor_product(a.algebra, b.algebra, cert_a, cert_b, a.volume, b.volume)
+    want = reference_tensor_certificate(prod, a.algebra, cert_a, b.algebra, cert_b)
+    cert = ellipticity_certificate(prod)
+    assert list(cert.powers.items()) == list(want.items()) and cert.replay()
 
 
 @pytest.mark.parametrize("key,params", ALL_KEYS, ids=[_id(*kp) for kp in ALL_KEYS])

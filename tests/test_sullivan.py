@@ -7,8 +7,8 @@ import pytest
 from conftest import built, certified
 from minmod.dsl import parse_algebra, parse_element
 from minmod.gca import StructureError
-from minmod.sullivan import (ContractionError, SullivanAlgebra, check_d_squared,
-                             check_minimality, dimension_formula,
+from minmod.sullivan import (ContractionError, EllipticityCertificate, SullivanAlgebra,
+                             check_d_squared, check_minimality, dimension_formula,
                              eliminate_contractible_pair,
                              ellipticity_certificate, extend_derivation,
                              formal_dimension, tensor_product)
@@ -109,6 +109,13 @@ def test_tensor_product_dimension_additive():
     assert dimension_formula(prod) == 231 + 6
     pcert = ellipticity_certificate(prod)
     assert pcert.replay()
+
+
+def test_product_without_factor_certificates_is_certified():
+    a, _ = built("chiral3", l=5)
+    b, _ = built("sphere", k=6)
+    cert = ellipticity_certificate(tensor_product(a.algebra, b.algebra))
+    assert isinstance(cert, EllipticityCertificate) and cert.replay()
 
 
 def test_tensor_volume_product_closed():
