@@ -24,9 +24,9 @@ from .cohomology import (TopFunctional, VolumeRejection, betti_table, is_closed,
                          is_exact, top_functional_from_volume, verify_volume_form)
 from .dsl import AlgebraFile, ParseError, element_str, parse_algebra, parse_element, parse_morphism
 from .endo import SolverConfig, degree_spectrum, verify_morphism
-from .flexcert import (check_prop4_condition, construct_lower_grading,
+from .flexcert import (LowerGrading, check_prop4_condition, construct_lower_grading,
                        monomial_differential_check, multiple_family_verify,
-                       scaling_certificate, two_stage_decomposition)
+                       scaling_certificate, scaling_images, two_stage_decomposition)
 from .gca import StructureError
 from .sullivan import (EllipticityCertificate, check_d_squared, check_minimality,
                        dimension_formula, ellipticity_certificate, extend_derivation,
@@ -442,16 +442,32 @@ def _replay_morphisms(af, doc, command) -> list:
             vol = None
     failures = []
     if command == "spectrum":
-        entries = [(w["morphism"], w["degree"], w.get("label", "")) for w in doc["witnesses"]]
+        entries = [(_images(alg, w["morphism"]), w["degree"], w.get("label", ""))
+                   for w in doc["witnesses"]]
     elif command == "verify":
-        entries = [(doc["morphism"], doc["degree"], "")] if doc["valid"] else []
+        entries = [(_images(alg, doc["morphism"]), doc["degree"], "")] if doc["valid"] else []
     else:
         entries = []
-        if doc.get("scaling"):
-            entries.append((doc["scaling"]["morphism"], doc["scaling"]["degree"], "scaling"))
-    for lines, degree, label in entries:
+        scaling = doc.get("scaling")
+        if scaling:
+            entries.append((_images(alg, scaling["morphism"]), scaling["degree"], "scaling"))
+            exponent = scaling.get("exponent")
+            # a scaling degree is a non-negative power of its base
+            if exponent is not None and (
+                    exponent < 0
+                    or Fraction(scaling["base"]) ** exponent != _rational(scaling["degree"])):
+                failures.append(f"scaling degree {scaling['degree']} != "
+                                f"{scaling['base']}^{exponent}")
+        if doc.get("multiples"):
+            levels = doc.get("grading", {})
+            missing = [g.name for g in alg.generators if g.name not in levels]
+            if missing:
+                raise ParseError(f"invalid report: grading has no level for {missing[0]!r}")
+            grading = LowerGrading(tuple(levels[g.name] for g in alg.generators))
+            entries += [(scaling_images(alg, grading, 2 * m["k"]), m.get("degree"), f"k = {m['k']}")
+                        for m in doc["multiples"]]
+    for images, degree, label in entries:
         degree = None if degree is None else _rational(degree)
-        images = parse_morphism(alg, "\n".join(lines))
         rep = verify_morphism(alg, images, vol)
         tag = f" ({label})" if label else ""
         if not rep.valid:
@@ -459,6 +475,10 @@ def _replay_morphisms(af, doc, command) -> list:
         elif degree is not None and vol is not None and rep.degree != degree:
             failures.append(f"morphism{tag} degree {rep.degree} != {degree}")
     return failures
+
+
+def _images(alg, lines) -> dict:
+    return parse_morphism(alg, "\n".join(lines))
 
 
 # -- entry point ------------------------------------------------------------

@@ -192,6 +192,24 @@ def test_replay_volume_checks_degree_and_representative(capsys, tmp_path, field,
     assert code == FAIL and f"replay FAIL: {reason}" in out
 
 
+@pytest.mark.parametrize("tamper,reason", [
+    (lambda doc: doc["multiples"][0].update(degree="5"),
+     "morphism (k = 2) degree 4398046511104 != 5"),
+    (lambda doc: doc["scaling"].update(exponent=3), "scaling degree 2097152 != 2^3"),
+    (lambda doc: doc["scaling"].update(base=0, exponent=-1), "scaling degree 2097152 != 0^-1"),
+], ids=["multiple-degree", "scaling-exponent", "negative-exponent"])
+def test_replay_flex_checks_multiples_and_exponent(capsys, tmp_path, tamper, reason):
+    code, out, _ = _replay_tampered(capsys, tmp_path, ("flex", "lower-grading"), tamper)
+    assert code == FAIL and f"replay FAIL: {reason}" in out
+
+
+def test_replay_flex_needs_a_level_for_every_generator(capsys, tmp_path):
+    code, out, err = _replay_tampered(capsys, tmp_path, ("flex", "lower-grading"),
+                                      lambda doc: doc["grading"].pop("m"))
+    assert code == USAGE and not out
+    assert err == "invalid report: grading has no level for 'm'\n"
+
+
 @pytest.mark.parametrize("monomial", ["x1 + x2", "2*x1"])
 def test_replay_rejects_functional_entry_that_is_not_one_monomial(capsys, tmp_path, monomial):
     code, out, err = _replay_tampered_volume(

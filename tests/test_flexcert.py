@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import built, certified
+from minmod import flexcert
+from minmod.endo import verify_morphism
 from minmod.flexcert import (LowerGrading, bigraded_cohomology_basis,
                              check_prop4_condition, construct_lower_grading,
                              monomial_differential_check,
@@ -12,6 +14,7 @@ from minmod.flexcert import (LowerGrading, bigraded_cohomology_basis,
                              scaling_images, two_stage_decomposition)
 from minmod.gca import StructureError
 from minmod.sullivan import extend_derivation
+from test_kernels import reference_bigraded_cohomology_basis
 
 
 def test_monomial_differential_check():
@@ -87,7 +90,7 @@ def test_scaling_certificate_rejects_bad_grading():
 def test_bigraded_basis_invariants():
     alg = built("lower-grading")[0].algebra
     grading = construct_lower_grading(alg)
-    basis = bigraded_cohomology_basis(alg, grading, 18)
+    basis = reference_bigraded_cohomology_basis(alg, grading, 18)
     assert len(basis) == 7
     for n, lev, e in basis:
         assert e.is_homogeneous() and e.degree() == n
@@ -95,6 +98,7 @@ def test_bigraded_basis_invariants():
         assert not extend_derivation(alg, e)
     # fundamental class present at the formal dimension
     assert any(n == 18 for n, _, _ in basis)
+    assert bigraded_cohomology_basis(alg, grading, 18) == [(n, lev) for n, lev, _ in basis]
 
 
 def test_multiple_family_lower_grading():
@@ -128,3 +132,20 @@ def test_nonexact_scaled_difference_detected():
     af, cert, vol = certified("sphere", k=6)
     rep = multiple_family_verify(alg, bad, vol, ks=(1,))
     assert not rep.ok
+    (c,) = rep.checks
+    assert c.failing == "y" and c.degree is None
+
+
+def test_generator_check_rejects_a_morphism_off_the_grading(monkeypatch):
+    # x -> base^7 x, y -> base^14 y commutes with d y = x^2, but the grading
+    # asks for base^6 on x (level 0, degree 6)
+    af, cert, vol = certified("sphere", k=6)
+    alg = af.algebra
+    grading = construct_lower_grading(alg)
+    monkeypatch.setattr(flexcert, "scaling_images", lambda alg, grading, base: {
+        "x": alg.gen("x").scale(Fraction(base) ** 7),
+        "y": alg.gen("y").scale(Fraction(base) ** 14)})
+    assert verify_morphism(alg, flexcert.scaling_images(alg, grading, 2), vol).valid
+    rep = multiple_family_verify(alg, grading, vol, ks=(1,))
+    (c,) = rep.checks
+    assert not rep.ok and c.failing == "x" and c.degree == Fraction(2) ** 7
