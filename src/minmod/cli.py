@@ -223,10 +223,7 @@ def _volume(af: AlgebraFile):
 def cmd_spectrum(args) -> int:
     af = load_algebra(args.algebra)
     vol = _volume(af)
-    cfg = SolverConfig()
-    if args.case_depth is not None:
-        cfg = SolverConfig(case_depth=args.case_depth, node_budget=cfg.node_budget,
-                           family_samples=cfg.family_samples)
+    cfg = SolverConfig() if args.case_depth is None else SolverConfig(case_depth=args.case_depth)
     verdict = degree_spectrum(af.algebra, vol, cfg)
     witnesses = []
     for leaf in verdict.leaves:

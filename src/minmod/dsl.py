@@ -49,17 +49,16 @@ def _tokenize(text: str, line_no: int):
     out = []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos and not text[pos:].strip():
-            break
         if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-        if m.end() == pos:
-            raise ParseError(f"unexpected character {text[m.start():].strip()[0]!r}", line_no, pos + 1)
+            break
         kind = m.lastgroup
         out.append(Token(kind, m.group(kind), line_no, m.start(kind) + 1))
         pos = m.end()
-    if text[pos:].strip():
-        raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", line_no, pos + 1)
+    rest = text[pos:]
+    stray = rest.lstrip()
+    if stray:
+        col = pos + len(rest) - len(stray) + 1
+        raise ParseError(f"unexpected character {stray[0]!r}", line_no, col)
     return out
 
 
@@ -180,7 +179,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
     volume_tokens = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].rstrip()
         if not line:
             continue
         toks = _tokenize(line, line_no)
@@ -266,7 +265,7 @@ def parse_morphism(alg: SullivanAlgebra, text: str) -> dict:
     images: dict = {}
     symbols = {g.name: alg.gen(g.name) for g in alg.generators}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].rstrip()
         if not line:
             continue
         toks = _tokenize(line, line_no)

@@ -21,7 +21,7 @@ import sympy
 from .cohomology import VolumeForm, top_class_coefficient
 from .gca import Element, StructureError, within
 from .linalg import Inconsistent, LinearSolver
-from .poly import MPoly
+from .poly import MPoly, add_terms, render_terms
 from .sullivan import SullivanAlgebra, apply_algebra_map, extend_derivation
 
 ZERO = Fraction(0)
@@ -32,7 +32,10 @@ ONE = Fraction(1)
 class SolverConfig:
     case_depth: int = 12
     node_budget: int = 4000
-    family_samples: tuple = (2, 3)
+
+
+# the free unknowns' values at which a degree family is verified by witnesses
+FAMILY_SAMPLES = (2, 3)
 
 
 # -- ansatz and constraint extraction --------------------------------------
@@ -270,11 +273,7 @@ def _from_sympy(expr) -> MPoly:
             base, e = f.as_base_exp()
             exps[str(base)] = exps.get(str(base), 0) + int(e)
         key = tuple(sorted((v, e) for v, e in exps.items() if e))
-        s = out.get(key, ZERO) + q
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        add_terms(out, ((key, q),))
     return MPoly(out)
 
 
@@ -583,14 +582,8 @@ class PolynomialFamily:
     coeffs: tuple  # ((exp, coeff), ...) sorted by exp descending
 
     def describe(self) -> str:
-        parts = []
-        for e, c in self.coeffs:
-            if e == 0:
-                parts.append(str(c))
-            else:
-                body = "t" if e == 1 else f"t^{e}"
-                parts.append(body if c == 1 else f"-{body}" if c == -1 else f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return render_terms(("" if e == 0 else "t" if e == 1 else f"t^{e}", c)
+                            for e, c in self.coeffs)
 
     @property
     def never_negative(self) -> bool:
@@ -756,7 +749,7 @@ class _Explorer:
         coeff, exps = sm
         family = DegreeFamily(coeff, tuple(sorted(exps.items())))
         witnesses = []
-        for t in self.cfg.family_samples:
+        for t in FAMILY_SAMPLES:
             tq = Fraction(t)
             val = coeff
             for _, e in family.exps:
@@ -801,7 +794,7 @@ class _Explorer:
             return OUTSIDE_FRAGMENT
         v, family, odd = choice
         others = {u: ONE for u in varlist if u != v}
-        samples = list(self.cfg.family_samples) + ([-2] if odd else [])
+        samples = list(FAMILY_SAMPLES) + ([-2] if odd else [])
         if not family.never_negative and \
                 all(family.value_at(Fraction(t)) >= 0 for t in samples):
             # sign changes may only happen at non-integer rationals

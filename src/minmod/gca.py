@@ -17,6 +17,8 @@ from functools import lru_cache
 from itertools import combinations
 from operator import le
 
+from .poly import Terms, render_terms
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -197,32 +199,31 @@ def mul_terms(alg: FreeGCA, terms1: dict, terms2: dict, box=None) -> dict:
     return terms
 
 
-def _coeff(c):
-    if isinstance(c, int):
-        return Fraction(c)
-    return c
-
-
-class Element:
-    """A finite formal sum of monomials with exact coefficients.
+class Element(Terms):
+    """A finite formal sum of monomials of ``alg`` with exact coefficients.
 
     Immutable; ``terms`` never stores zero coefficients.  Arithmetic
     re-canonicalizes, so constructing from the result of any operation is a
-    no-op.
+    no-op.  Addition, scaling and powers come from :class:`minmod.poly.Terms`;
+    operands must live in the same algebra object.
     """
 
-    __slots__ = ("alg", "terms", "_hash")
+    __slots__ = ("alg",)
 
     def __init__(self, alg: FreeGCA, terms: dict):
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "terms", dict(terms))
-        object.__setattr__(self, "_hash", None)
+        _set_alg(self, alg)
+        Terms.__init__(self, terms)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Element is immutable")
+    def _new(self, terms):
+        return Element(self.alg, terms)
 
-    def __bool__(self):
-        return bool(self.terms)
+    def _one(self):
+        return self.alg.one()
+
+    def _coerce(self, other):
+        if not isinstance(other, Element) or other.alg is not self.alg:
+            raise StructureError("elements over different generator sets")
+        return other
 
     def __eq__(self, other):
         if isinstance(other, Element):
@@ -231,63 +232,18 @@ class Element:
             return not self.terms
         return NotImplemented
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((id(self.alg), frozenset(self.terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def _check(self, other: "Element"):
-        if self.alg is not other.alg:
-            raise StructureError("elements over different generator sets")
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, ZERO) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Element(self.alg, terms)
-
-    def __neg__(self):
-        return Element(self.alg, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
+    __hash__ = Terms.__hash__
 
     def mul(self, other, box=None):
         """The product; with an exponent tuple ``box``, only the terms
         :func:`within` it, skipping the coefficient products of the others."""
         if isinstance(other, Element):
-            self._check(other)
+            self._coerce(other)
             return Element(self.alg, mul_terms(self.alg, self.terms, other.terms, box))
         return self.scale(other)
 
     __mul__ = mul
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, q) -> "Element":
-        q = _coeff(q)
-        if not q:
-            return self.alg.zero()
-        return Element(self.alg, {m: c * q for m, c in self.terms.items()})
-
-    def __pow__(self, n: int) -> "Element":
-        if n < 0:
-            raise ValueError("negative power")
-        out = self.alg.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def map_coefficients(self, fn) -> "Element":
-        return self.alg.element({m: fn(c) for m, c in self.terms.items()})
+    __rmul__ = Terms.scale
 
     def degrees_present(self):
         return sorted({self.alg.monomial_degree(m) for m in self.terms})
@@ -304,34 +260,13 @@ class Element:
             raise StructureError(f"element is not homogeneous: degrees {degs}")
         return degs[0]
 
-    def min_word_length(self):
-        """Smallest number of generator factors over all monomials (None for 0)."""
-        if not self.terms:
-            return None
-        return min(sum(m) for m in self.terms)
-
     def __str__(self):
         """Round-trippable rendering of a rational element (the inverse of
         ``dsl.parse_element``); symbolic coefficients print in parentheses."""
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            ms = self.alg.monomial_str(m)
-            if isinstance(c, Fraction):
-                if ms == "1":
-                    piece = str(c)
-                elif c == 1:
-                    piece = ms
-                elif c == -1:
-                    piece = f"-{ms}"
-                else:
-                    piece = f"{c}*{ms}"
-            else:
-                piece = f"({c})*{ms}" if ms != "1" else f"({c})"
-            parts.append(piece)
-        s = " + ".join(parts)
-        return s.replace("+ -", "- ")
+        return render_terms((self.alg.monomial_str(m) if any(m) else "", self.terms[m])
+                            for m in sorted(self.terms))
 
     __repr__ = __str__
+
+
+_set_alg = Element.alg.__set__  # as poly._set_terms

@@ -1,9 +1,10 @@
-"""Multivariate polynomials over Q in named unknowns.
+"""Multivariate polynomials over Q in named unknowns, on a shared sparse-term base.
 
-Used as the coefficient ring for symbolic self-map ansatz elements and as
-the constraint language of the degree-spectrum solver.  Terms map a sorted
-``((var, exp), ...)`` tuple to a nonzero Fraction; the empty tuple is the
-constant term.
+``Terms`` is the immutable ``{key: coefficient}`` sum behind both ``MPoly``
+and ``gca.Element``.  ``MPoly`` is the coefficient ring for symbolic self-map
+ansatz elements and the constraint language of the degree-spectrum solver.
+Its terms map a sorted ``((var, exp), ...)`` tuple to a nonzero Fraction;
+the empty tuple is the constant term.
 """
 
 from __future__ import annotations
@@ -29,17 +30,113 @@ def _mul_keys(k1, k2):
     return tuple(sorted(exps.items()))
 
 
-class MPoly:
-    """Immutable multivariate polynomial with exact rational coefficients."""
+def add_terms(acc: dict, pairs) -> dict:
+    """Merge ``(key, coefficient)`` pairs into ``acc`` in place, dropping the
+    keys whose sum is zero; returns ``acc``."""
+    for k, c in pairs:
+        s = acc.get(k, ZERO) + c
+        if s:
+            acc[k] = s
+        else:
+            acc.pop(k, None)
+    return acc
+
+
+def render_terms(pairs) -> str:
+    """``c*m + ...`` from ``(monomial string, coefficient)`` pairs, with ``""``
+    for the unit monomial.  A unit coefficient is left out, ``+ -`` reads
+    ``-``, and a coefficient that is not rational (a polynomial) prints in
+    parentheses."""
+    parts = []
+    for mono, c in pairs:
+        if not isinstance(c, (int, Fraction)):
+            parts.append(f"({c})*{mono}" if mono else f"({c})")
+        elif not mono:
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(mono)
+        elif c == -1:
+            parts.append(f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+class Terms:
+    """An immutable sparse sum ``{key: coefficient}`` that never stores a zero.
+
+    The base of :class:`MPoly` and :class:`minmod.gca.Element`: addition,
+    negation, scaling and powers are shared, while each subclass supplies
+    its key product, its equality and three hooks: ``_new(terms)`` builds a
+    sum of the same kind, ``_one()`` its unit, and ``_coerce(other)`` turns
+    an operand into such a sum or raises.
+    """
 
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
-        object.__setattr__(self, "terms", dict(terms or {}))
-        object.__setattr__(self, "_hash", None)
+        _set_terms(self, dict(terms or {}))
+        _set_hash(self, None)
 
     def __setattr__(self, *a):
-        raise AttributeError("MPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(frozenset(self.terms.items()))
+            _set_hash(self, h)
+        return h
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return self._new(add_terms(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return self._new({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def scale(self, q):
+        """Every coefficient times the scalar ``q``."""
+        if not q:
+            return self._new({})
+        return self._new({k: c * q for k, c in self.terms.items()})
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        out = self._one()
+        for _ in range(n):
+            out = out * self
+        return out
+
+
+# The slots' own setters get past the immutability guard of ``__setattr__``
+# more cheaply than ``object.__setattr__``, on the hottest constructors.
+_set_terms = Terms.terms.__set__
+_set_hash = Terms._hash.__set__
+
+
+class MPoly(Terms):
+    """Immutable multivariate polynomial with exact rational coefficients."""
+
+    __slots__ = ()
+
+    def _new(self, terms):
+        return MPoly(terms)
+
+    def _one(self):
+        return MPoly.const(1)
+
+    def _coerce(self, other):
+        if isinstance(other, MPoly):
+            return other
+        return MPoly.const(other)
 
     @staticmethod
     def const(q) -> "MPoly":
@@ -62,9 +159,6 @@ class MPoly:
 
     # -- ring structure ----------------------------------------------------
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if isinstance(other, MPoly):
             return self.terms == other.terms
@@ -72,42 +166,12 @@ class MPoly:
             return self.terms == ({(): _as_fraction(other)} if other else {})
         return NotImplemented
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def _coerce(self, other):
-        if isinstance(other, MPoly):
-            return other
-        return MPoly.const(other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            s = terms.get(k, ZERO) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
-        return MPoly(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+    __hash__ = Terms.__hash__
+    __radd__ = Terms.__add__
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        if not isinstance(other, MPoly):
+            return self.scale(_as_fraction(other))
         terms: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -120,14 +184,6 @@ class MPoly:
         return MPoly(terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = MPoly.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     # -- structure queries -------------------------------------------------
 
@@ -163,7 +219,7 @@ class MPoly:
     def eliminate(self, var, coeff) -> "MPoly":
         """Solve ``self == 0`` for the bare linear ``var``: the substitution value."""
         rest = MPoly({k: c for k, c in self.terms.items() if k != ((var, 1),)})
-        return rest * (Fraction(-1) / coeff)
+        return rest.scale(Fraction(-1) / coeff)
 
     def monomial_content(self) -> dict:
         """Variables (with multiplicity) dividing every term."""
@@ -214,7 +270,7 @@ class MPoly:
         out: dict = {}
         for k, c in self.terms.items():
             if not any(v in assignment for v, _ in k):
-                term = {k: c}
+                pairs = ((k, c),)
             else:
                 rest = tuple((v, e) for v, e in k if v not in assignment)
                 prod = MPoly({rest: c})
@@ -223,30 +279,12 @@ class MPoly:
                         val = self._coerce(assignment[v])
                         for _ in range(e):
                             prod = prod * val
-                term = prod.terms
-            for k2, c2 in term.items():
-                s = out.get(k2, ZERO) + c2
-                if s:
-                    out[k2] = s
-                else:
-                    del out[k2]
+                pairs = prod.terms.items()
+            add_terms(out, pairs)
         return MPoly(out)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in k)
-            if not mono:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return render_terms(("*".join(v if e == 1 else f"{v}^{e}" for v, e in k), self.terms[k])
+                            for k in sorted(self.terms))
 
     __repr__ = __str__

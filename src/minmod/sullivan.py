@@ -14,6 +14,7 @@ from itertools import accumulate
 from operator import add, mul
 
 from .gca import Element, FreeGCA, Generator, StructureError, mul_terms
+from .poly import add_terms
 
 ZERO = Fraction(0)
 
@@ -142,7 +143,7 @@ def check_minimality(alg: SullivanAlgebra) -> CheckReport:
     """Every differential image has word length >= 2 (no linear part)."""
     failures = []
     for g, dg in zip(alg.generators, alg.diff):
-        if dg and dg.min_word_length() < 2:
+        if dg and min(map(sum, dg.terms)) < 2:
             failures.append((g.name, dg))
     return CheckReport(not failures, failures)
 
@@ -173,12 +174,7 @@ def apply_algebra_map(target: SullivanAlgebra, images: dict, e: Element, box=Non
                     raise StructureError("elements over different generator sets")
                 for _ in range(exp):
                     term = mul_terms(free, term, img.terms, box)
-        for m, v in term.items():
-            s = out.get(m, ZERO) + v
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+        add_terms(out, term.items())
     return Element(free, out)
 
 

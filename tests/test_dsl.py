@@ -56,6 +56,18 @@ def test_unknown_name_with_position():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize("text,stray,line,col", [
+    ("gen x : 4 !\n", "!", 1, 11),
+    ("gen x : 2\nd x =   x ; 2\n", ";", 2, 11),
+    ("gen x : 2\n  d x = x @ 2\n", "@", 2, 11),
+], ids=["after-a-degree", "inside-a-differential", "on-an-indented-line"])
+def test_stray_character_reported_at_its_own_column(text, stray, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(text)
+    assert f"unexpected character {stray!r}" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 def test_odd_square_rejected():
     with pytest.raises(ParseError):
         parse_algebra("gen a : 3\ngen m : 7\nd m = a^2\n")

@@ -294,7 +294,8 @@ def _product(left, right):
 
 def _full_expansion_degree(alg, ansatz, vol, ctx):
     """phi(f(vol)) with every image term normalized and f(vol) expanded in full."""
-    images = {n: img.map_coefficients(ctx.normalize) for n, img in ansatz.images.items()}
+    images = {n: img.alg.element({m: ctx.normalize(c) for m, c in img.terms.items()})
+              for n, img in ansatz.images.items()}
     lam = vol.functional.apply(apply_algebra_map(alg, images, vol.representative))
     return lam if isinstance(lam, MPoly) else MPoly.const(lam)
 

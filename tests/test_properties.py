@@ -5,6 +5,7 @@ All suites run derandomized so the corpus is reproducible run to run.
 
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -30,14 +31,14 @@ def _algebra():
 
 
 @st.composite
-def homogeneous(draw, max_degree=40):
+def homogeneous(draw, max_degree=40, coefficients=COEFFS):
     """A nonzero homogeneous element drawn from the degree-n basis."""
     alg = _algebra()
     degrees = [n for n in range(2, max_degree + 1) if alg.basis_of_degree(n)]
     n = draw(st.sampled_from(degrees))
     basis = list(alg.basis_of_degree(n))
     picks = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3, unique=True))
-    coeffs = draw(st.lists(COEFFS, min_size=len(picks), max_size=len(picks)))
+    coeffs = draw(st.lists(coefficients, min_size=len(picks), max_size=len(picks)))
     return Element(alg.free, dict(zip(picks, coeffs)))
 
 
@@ -310,3 +311,61 @@ MONOMIALS = st.dictionaries(st.sampled_from(UNKNOWNS), st.integers(1, 3), max_si
 def test_sympy_round_trip(p):
     assert _from_sympy(_to_sympy(p)) == p
     assert _to_sympy(p) == _incremental_to_sympy(p)
+
+
+# -- the sparse-term kernel shared by MPoly and Element ----------------------
+
+
+def _canonical(x):
+    """No stored coefficient is zero, also inside polynomial coefficients."""
+    return all(c and (not isinstance(c, MPoly) or _canonical(c)) for c in x.terms.values())
+
+
+SCALARS = st.one_of(st.just(Fraction(0)), COEFFS)
+KINDS = {  # (operands, scalars)
+    "mpoly": (small_poly(), SCALARS),
+    "rational": (homogeneous(20), SCALARS),
+    "symbolic": (homogeneous(20, small_poly().filter(bool)), st.one_of(SCALARS, small_poly())),
+}
+
+
+def _operands(data, kind):
+    operands, scalars = KINDS[kind]
+    a, b = data.draw(operands), data.draw(operands)
+    if data.draw(st.booleans()):
+        b = b - a  # a + b then cancels every term of a
+    return a, b, data.draw(scalars)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(**SETTINGS)
+@given(data=st.data())
+def test_kernel_never_stores_a_zero(kind, data):
+    a, b, q = _operands(data, kind)
+    n = data.draw(st.integers(0, 2 if kind == "symbolic" else 3))
+    for x in (a + b, a - b, -a, a * b, a.scale(q), a ** n):
+        assert _canonical(x)
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(**SETTINGS)
+@given(data=st.data())
+def test_kernel_additive_identities(kind, data):
+    a, b, q = _operands(data, kind)
+    assert not (a - a) and (a - a).terms == {}
+    assert (a + b) - b == a
+    assert -(-a) == a
+    assert a.scale(q) + a.scale(q) == a.scale(q + q)
+
+
+@settings(**SETTINGS)
+@given(small_poly(), SCALARS)
+def test_mpoly_times_scalar_is_scale(p, q):
+    assert p * q == q * p == p.scale(q) == p * MPoly.const(q)
+
+
+def test_symbolic_coefficients_print_in_parentheses():
+    images = generic_ansatz(built("lower-grading")[0].algebra).images
+    assert str(images["a"]) == "(k2)*b + (k1)*a"
+    assert str(images["a"].scale(MPoly.var("k1") - 1)) == "(k1*k2 - k2)*b + (-k1 + k1^2)*a"
+    assert str(generic_ansatz(_algebra()).images["y3"]) == "(k5)*y3 + (k6)*x1*y1"
