@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import built
+from minmod.dsl import parse_algebra
 from minmod.gca import Element, FreeGCA, Generator, StructureError
+from minmod.sullivan import check_minimality
 
 
 def lemma_free():
@@ -97,6 +99,13 @@ def test_homogeneity_and_degree():
     mixed = free.gen("x1") + free.gen("x2")
     assert not mixed.is_homogeneous()
     assert mixed.degrees_present() == [4, 6]
+
+
+def test_min_word_length():
+    # check_minimality takes the shortest word of a mixed-length image, not
+    # the first term's: w (length 1) sorts after x^3 (length 3)
+    mixed = parse_algebra("gen w : 6\ngen x : 2\ngen z : 5\nd z = x^3 + w\n").algebra
+    assert [str(w) for _, w in check_minimality(mixed).failures] == ["x^3 + w"]
 
 
 def test_no_zero_coefficients_stored():
