@@ -1,8 +1,9 @@
 """Built-in algebra presentations.
 
-Every entry is DSL text (see :mod:`minmod.dsl`), so the catalog doubles as a
-corpus of parser examples.  Parameterized families validate their parameter
-ranges before instantiating.
+Every entry is one DSL template (see :mod:`minmod.dsl`), so the catalog
+doubles as a corpus of parser examples.  ``ENTRIES`` is the one table of
+parameter ranges: ``build`` checks a family's parameters against it, then
+prepends them to the template as ``param`` lines.
 """
 
 from __future__ import annotations
@@ -129,100 +130,67 @@ d m = a*n
 volume a*b*n*m
 """
 
+CP = """\
+gen x : 2
+gen y : 4*n + 1
+d y = x^(2*n + 1)
+volume x^(2*n)
+"""
 
-def complex_projective(n: int) -> str:
-    if n < 1:
-        raise ValueError("complex_projective requires n >= 1")
-    return (f"gen x : 2\ngen y : {4 * n + 1}\n"
-            f"d y = x^{2 * n + 1}\nvolume x^{2 * n}\n")
-
-
-def sphere(k: int) -> str:
-    """The even sphere model in degree k (k even, >= 2)."""
-    if k < 2 or k % 2:
-        raise ValueError("sphere requires an even degree >= 2")
-    return (f"gen x : {k}\ngen y : {2 * k - 1}\n"
-            f"d y = x^2\nvolume x\n")
+SPHERE = """\
+gen x : k
+gen y : 2*k - 1
+d y = x^2
+volume x
+"""
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
     key: str
     summary: str
-    parameters: tuple  # (name, constraint text)
+    template: str  # DSL text; each parameter arrives as a ``param`` line
+    parameters: tuple = ()  # ((name, least value, listing text), ...)
 
 
 ENTRIES = (
-    CatalogEntry("lemma", "7-generator elliptic family, dim 231+4i", (("i", "i >= 0"),)),
-    CatalogEntry("chain-base", "base algebra of the fibration chain, dim 64", ()),
-    CatalogEntry("chain-fibered", "total space with a contractible pair", ()),
-    CatalogEntry("chain-reduced", "reduced total space, dim 66", ()),
-    CatalogEntry("chiral1", "orientation-chirality family, dim 4*l1+8*l2+22", (("l1", "l1 >= 2"), ("l2", "l2 >= 2"))),
-    CatalogEntry("chiral2", "orientation-chirality family, dim 4*l+57", (("l", "l >= 4"),)),
-    CatalogEntry("chiral3", "orientation-chirality family, dim 4*l+27", (("l", "l >= 5"),)),
-    CatalogEntry("lower-grading", "monomial-differential flexible example, dim 18", ()),
-    CatalogEntry("cp", "even complex projective space model, dim 4n", (("n", "n >= 1"),)),
-    CatalogEntry("sphere", "even sphere model", (("k", "even, k >= 2"),)),
+    CatalogEntry("lemma", "7-generator elliptic family, dim 231+4i", LEMMA_FAMILY, (("i", 0, "i >= 0"),)),
+    CatalogEntry("chain-base", "base algebra of the fibration chain, dim 64", CHAIN_BASE),
+    CatalogEntry("chain-fibered", "total space with a contractible pair", CHAIN_FIBERED),
+    CatalogEntry("chain-reduced", "reduced total space, dim 66", CHAIN_REDUCED),
+    CatalogEntry("chiral1", "orientation-chirality family, dim 4*l1+8*l2+22", CHIRAL_1, (("l1", 2, "l1 >= 2"), ("l2", 2, "l2 >= 2"))),
+    CatalogEntry("chiral2", "orientation-chirality family, dim 4*l+57", CHIRAL_2, (("l", 4, "l >= 4"),)),
+    CatalogEntry("chiral3", "orientation-chirality family, dim 4*l+27", CHIRAL_3, (("l", 5, "l >= 5"),)),
+    CatalogEntry("lower-grading", "monomial-differential flexible example, dim 18", LOWER_GRADING_EXAMPLE),
+    CatalogEntry("cp", "even complex projective space model, dim 4n", CP, (("n", 1, "n >= 1"),)),
+    CatalogEntry("sphere", "even sphere model", SPHERE, (("k", 2, "even, k >= 2"),)),
 )
 
 _BY_KEY = {e.key: e for e in ENTRIES}
-
-
-def _with_params(template: str, **params) -> str:
-    lines = [f"param {k} = {v}" for k, v in params.items()]
-    return "\n".join(lines) + "\n" + template
 
 
 def build(key: str, **params) -> AlgebraFile:
     """Instantiate a catalog entry; validates parameter ranges."""
     if key not in _BY_KEY:
         raise KeyError(f"unknown catalog entry {key!r}; known: {sorted(_BY_KEY)}")
-    extra = set(params) - {p for p, _ in _BY_KEY[key].parameters}
+    entry = _BY_KEY[key]
+    extra = set(params) - {p for p, _, _ in entry.parameters}
     if extra:
         raise ValueError(f"unexpected parameters for {key!r}: {sorted(extra)}")
+    for p, low, _ in entry.parameters:
+        if p not in params:
+            raise ValueError(f"missing parameter {p!r}")
+        v = params[p]
+        if not isinstance(v, int) or v < low:
+            raise ValueError(f"parameter {p} must be an integer >= {low}, got {v!r}")
+    if key == "sphere" and params["k"] % 2:
+        raise ValueError("sphere requires an even degree")
     name = key + ("" if not params else "(" + ",".join(f"{k}={v}" for k, v in sorted(params.items())) + ")")
-    if key == "lemma":
-        i = _need_int(params, "i", low=0)
-        return parse_algebra(_with_params(LEMMA_FAMILY, i=i), name=name)
-    if key == "chain-base":
-        return parse_algebra(CHAIN_BASE, name=name)
-    if key == "chain-fibered":
-        return parse_algebra(CHAIN_FIBERED, name=name)
-    if key == "chain-reduced":
-        return parse_algebra(CHAIN_REDUCED, name=name)
-    if key == "chiral1":
-        l1 = _need_int(params, "l1", low=2)
-        l2 = _need_int(params, "l2", low=2)
-        return parse_algebra(_with_params(CHIRAL_1, l1=l1, l2=l2), name=name)
-    if key == "chiral2":
-        l = _need_int(params, "l", low=4)
-        return parse_algebra(_with_params(CHIRAL_2, l=l), name=name)
-    if key == "chiral3":
-        l = _need_int(params, "l", low=5)
-        return parse_algebra(_with_params(CHIRAL_3, l=l), name=name)
-    if key == "lower-grading":
-        return parse_algebra(LOWER_GRADING_EXAMPLE, name=name)
-    if key == "cp":
-        n = _need_int(params, "n", low=1)
-        return parse_algebra(complex_projective(n), name=name)
-    if key == "sphere":
-        k = _need_int(params, "k", low=2)
-        if k % 2:
-            raise ValueError("sphere requires an even degree")
-        return parse_algebra(sphere(k), name=name)
-    raise AssertionError(key)
-
-
-def _need_int(params: dict, name: str, low: int) -> int:
-    if name not in params:
-        raise ValueError(f"missing parameter {name!r}")
-    v = params[name]
-    if not isinstance(v, int) or v < low:
-        raise ValueError(f"parameter {name} must be an integer >= {low}, got {v!r}")
-    return v
+    text = "".join(f"param {p} = {params[p]}\n" for p, _, _ in entry.parameters)
+    return parse_algebra(text + entry.template, name=name)
 
 
 def describe() -> list:
     """Rows for the catalog listing: (key, summary, parameter constraints)."""
-    return [(e.key, e.summary, "; ".join(f"{n}: {c}" for n, c in e.parameters) or "-")
+    return [(e.key, e.summary, "; ".join(f"{n}: {c}" for n, _, c in e.parameters) or "-")
             for e in ENTRIES]

@@ -22,7 +22,8 @@ from importlib import resources
 from . import catalog
 from .cohomology import (TopFunctional, VolumeRejection, betti_table, is_closed,
                          is_exact, top_functional_from_volume, verify_volume_form)
-from .dsl import AlgebraFile, ParseError, element_str, parse_algebra, parse_element, parse_morphism
+from .dsl import (AlgebraFile, ParseError, element_str, parse_algebra, parse_element,
+                  parse_morphism, print_algebra)
 from .endo import SolverConfig, degree_spectrum, verify_morphism
 from .flexcert import (LowerGrading, check_prop4_condition, construct_lower_grading,
                        monomial_differential_check, multiple_family_verify,
@@ -57,22 +58,30 @@ def _parse_params(parts) -> dict:
         if "=" not in part:
             raise ParseError(f"bad catalog parameter {part!r}")
         k, v = part.split("=", 1)
+        k = k.strip()
+        if k in params:
+            raise ParseError(f"duplicate catalog parameter {k!r}")
         try:
-            params[k.strip()] = int(v)
+            params[k] = int(v)
         except ValueError:
-            raise ParseError(f"catalog parameter {k.strip()} must be an integer")
+            raise ParseError(f"catalog parameter {k} must be an integer")
     return params
+
+
+def _build(key: str, parts) -> AlgebraFile:
+    """The catalog entry ``key`` with parameters ``parts``; errors become ParseError."""
+    params = _parse_params(parts)
+    try:
+        return catalog.build(key, **params)
+    except (KeyError, ValueError) as exc:
+        raise ParseError(exc.args[0])
 
 
 def load_algebra(spec: str) -> AlgebraFile:
     """A DSL file path, or a catalog spec like ``chiral1(l1=4,l2=2)``."""
     m = _CATALOG_SPEC.match(spec)
     if m and m.group(1) in {e.key for e in catalog.ENTRIES}:
-        params = _parse_params(filter(None, (m.group(2) or "").split(",")))
-        try:
-            return catalog.build(m.group(1), **params)
-        except (KeyError, ValueError) as exc:
-            raise ParseError(str(exc))
+        return _build(m.group(1), filter(None, (m.group(2) or "").split(",")))
     try:
         with open(spec, encoding="utf-8") as fh:
             text = fh.read()
@@ -91,7 +100,6 @@ def _report(args, command, af, verdict, lines, payload) -> int:
             "verdict": verdict,
         }
         if af is not None:
-            from .dsl import print_algebra
             doc["algebra"] = {"name": af.name, "source": print_algebra(af)}
         doc.update(payload)
         validate_report(doc)
@@ -111,13 +119,10 @@ def _morphism_lines(images: dict) -> list:
 
 def cmd_catalog(args) -> int:
     if args.key:
-        try:
-            af = catalog.build(args.key, **_parse_params(args.param or ()))
-        except (KeyError, ValueError) as exc:
-            print(str(exc), file=sys.stderr)
-            return USAGE
-        from .dsl import print_algebra
+        af = _build(args.key, args.param or ())
         return _report(args, "catalog", af, "pass", [print_algebra(af).rstrip()], {})
+    if args.param:
+        raise ParseError("--param needs a catalog key")
     rows = catalog.describe()
     lines = [f"{k:14s} {s:55s} {p}" for k, s, p in rows]
     return _report(args, "catalog", None, "pass", lines,
@@ -159,7 +164,7 @@ def _certified(af: AlgebraFile):
 def cmd_dim(args) -> int:
     af = load_algebra(args.algebra)
     cert = _certified(af)
-    value = formal_dimension(af.algebra, cert).value
+    value = formal_dimension(af.algebra, cert)
     return _report(args, "dim", af, "pass", [str(value)], {"dimension": value})
 
 
@@ -195,12 +200,8 @@ def cmd_exact(args) -> int:
 
 def cmd_volume(args) -> int:
     af = load_algebra(args.algebra)
-    if af.volume is None:
-        print("no volume declaration", file=sys.stderr)
-        return FAIL
-    cert = _certified(af)
     try:
-        vol = verify_volume_form(af.algebra, af.volume, cert)
+        vol = _volume(af)
     except VolumeRejection as exc:
         return _report(args, "volume", af, "fail",
                        [f"rejected: {exc.reason}"], {"rejected": exc.reason})

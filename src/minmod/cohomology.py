@@ -43,7 +43,6 @@ class DifferentialMatrix:
     per column as {row index: coefficient}.
     """
 
-    degree: int
     domain: tuple
     codomain: tuple
     columns: list
@@ -57,7 +56,7 @@ def d_matrix(alg: SullivanAlgebra, n: int) -> DifferentialMatrix:
     columns = []
     for mono in domain:
         columns.append({row_index[m]: c for m, c in _derive(alg, mono).items()})
-    return DifferentialMatrix(n, domain, codomain, columns)
+    return DifferentialMatrix(domain, codomain, columns)
 
 
 @lru_cache(maxsize=None)

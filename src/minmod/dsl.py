@@ -62,6 +62,14 @@ def _tokenize(text: str, line_no: int):
     return out
 
 
+def _statements(text: str):
+    """(line number, tokens) for each line with a statement, comments stripped."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if line:
+            yield line_no, _tokenize(line, line_no)
+
+
 class _ExprParser:
     """Recursive descent over one token list; precedence ^ > unary- > * > +/-."""
 
@@ -161,14 +169,12 @@ class _ExprParser:
 
 @dataclass
 class AlgebraFile:
-    """A parsed presentation: generators, differentials, optional volume."""
+    """A parsed presentation: generators, optional volume, and the algebra."""
 
     name: str
-    params: dict
     generators: list          # [Generator]
-    differentials: dict       # name -> Element
     volume: Element | None
-    algebra: SullivanAlgebra = field(repr=False, default=None)
+    algebra: SullivanAlgebra = field(repr=False)
 
 
 def parse_algebra(text: str, name: str = "") -> AlgebraFile:
@@ -178,11 +184,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
     diff_lines: list = []  # (gen name, tokens, line_no)
     volume_tokens = None
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line:
-            continue
-        toks = _tokenize(line, line_no)
+    for line_no, toks in _statements(text):
         head = toks[0]
         if head.value == "param":
             if len(toks) < 4 or toks[2].value != "=":
@@ -246,8 +248,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
         alg = SullivanAlgebra(free, diff, name=name)
     except StructureError as exc:
         raise ParseError(str(exc), 0, 0) from exc
-    return AlgebraFile(name, {k: int(v) for k, v in params.items()},
-                       list(free.generators), diff, volume, alg)
+    return AlgebraFile(name, list(free.generators), volume, alg)
 
 
 def parse_element(alg: SullivanAlgebra, text: str) -> Element:
@@ -264,11 +265,7 @@ def parse_morphism(alg: SullivanAlgebra, text: str) -> dict:
     """Parse ``f NAME = EXPR`` lines into a generator-image map."""
     images: dict = {}
     symbols = {g.name: alg.gen(g.name) for g in alg.generators}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line:
-            continue
-        toks = _tokenize(line, line_no)
+    for line_no, toks in _statements(text):
         if toks[0].value != "f" or len(toks) < 4 or toks[1].kind != "name" or toks[2].value != "=":
             raise ParseError("expected: f NAME = EXPR", line_no, 1)
         gname = toks[1].value
@@ -296,8 +293,7 @@ def print_algebra(af: AlgebraFile) -> str:
     lines = []
     for g in af.generators:
         lines.append(f"gen {g.name} : {g.degree}")
-    for g in af.generators:
-        d = af.differentials.get(g.name)
+    for g, d in zip(af.generators, af.algebra.diff):
         if d:
             lines.append(f"d {g.name} = {element_str(d)}")
     if af.volume is not None:

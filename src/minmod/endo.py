@@ -510,9 +510,8 @@ class MorphismReport:
     degree: Fraction | None
 
 
-def verify_morphism(alg: SullivanAlgebra, morphism, vol: VolumeForm | None) -> MorphismReport:
+def verify_morphism(alg: SullivanAlgebra, images: dict, vol: VolumeForm | None) -> MorphismReport:
     """Check d-commutation per generator, then read the degree off f(vol)."""
-    images = morphism.images if isinstance(morphism, ConcreteMorphism) else morphism
     for g in alg.generators:
         if g.name not in images:
             return MorphismReport(False, g.name, None)
@@ -565,10 +564,6 @@ class DegreeFamily:
     def never_negative(self) -> bool:
         return self.coeff > 0 and all(e % 2 == 0 for _, e in self.exps)
 
-    @property
-    def unbounded(self) -> bool:
-        return bool(self.exps)
-
 
 @dataclass
 class PolynomialFamily:
@@ -588,10 +583,6 @@ class PolynomialFamily:
     @property
     def never_negative(self) -> bool:
         return all(e % 2 == 0 and c > 0 for e, c in self.coeffs if e or c)
-
-    @property
-    def unbounded(self) -> bool:
-        return any(e for e, _ in self.coeffs)
 
     def value_at(self, t: Fraction) -> Fraction:
         return sum((c * t ** e for e, c in self.coeffs), ZERO)
@@ -834,7 +825,7 @@ class _Explorer:
             if not full.get(v, ZERO):
                 return None
         morphism = morphism_from_assignment(self.ansatz, full, label)
-        report = verify_morphism(self.alg, morphism, self.vol)
+        report = verify_morphism(self.alg, morphism.images, self.vol)
         if not report.valid:
             return None
         return (morphism, report.degree)
@@ -862,8 +853,9 @@ def degree_spectrum(alg: SullivanAlgebra, vol: VolumeForm,
             if key not in seen:
                 seen.add(key)
                 families.append(f)
-    flexible = any(f.unbounded for f in families)
-    if complete and not any(f.unbounded for f in families) and set(constants) <= {ZERO, ONE, -ONE}:
+    # every family has a free unknown in its degree, so any family is unbounded
+    flexible = bool(families)
+    if complete and not flexible and set(constants) <= {ZERO, ONE, -ONE}:
         classification = "Inflexible"
     elif complete and all(f.never_negative for f in families) and all(q >= 0 for q in constants):
         classification = "NoOrientationReversal"

@@ -101,8 +101,6 @@ def two_stage_decomposition(alg: SullivanAlgebra):
 class ScalingCertificate:
     """The morphism v -> base^(i+j) v for v of lower degree i, degree j."""
 
-    alg: SullivanAlgebra
-    grading: LowerGrading
     base: int
     images: dict      # name -> Element
     degree: Fraction
@@ -147,7 +145,7 @@ def scaling_certificate(alg: SullivanAlgebra, grading: LowerGrading, vol,
         raise StructureError(f"scaling morphism failed verification at {report.failing}")
     if not report.degree:
         raise StructureError("scaling morphism has zero degree")
-    return ScalingCertificate(alg, grading, base, images, report.degree)
+    return ScalingCertificate(base, images, report.degree)
 
 
 # -- k-th multiples ---------------------------------------------------------

@@ -87,7 +87,11 @@ class Terms:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(frozenset(self.terms.items()))
+            terms = self.terms
+            if len(terms) > 1 or (terms and () not in terms):
+                h = hash(frozenset(terms.items()))
+            else:  # equal to a scalar, so hashed like it: the empty sum like 0
+                h = hash(terms.get((), 0))
             _set_hash(self, h)
         return h
 

@@ -205,9 +205,10 @@ class EllipticityCertificate:
 
 @dataclass
 class EllipticityFailure:
+    """The exactness search exceeded its bound: inconclusive, not a disproof."""
+
     generator: str
     n_max: int
-    reason: str = "exactness search exceeded bound (inconclusive, not a disproof)"
 
     def __bool__(self):
         return False
@@ -221,10 +222,7 @@ def nilpotency_bound(alg: SullivanAlgebra, gen: Generator) -> int:
     reported as inconclusive.
     """
     ceiling = dimension_formula(alg) + alg.max_degree()
-    n = ceiling // gen.degree + 1
-    while n * gen.degree <= ceiling:
-        n += 1
-    return n
+    return ceiling // gen.degree + 1
 
 
 def ellipticity_certificate(alg: SullivanAlgebra):
@@ -251,16 +249,11 @@ def ellipticity_certificate(alg: SullivanAlgebra):
     return EllipticityCertificate(alg, powers)
 
 
-@dataclass(frozen=True)
-class FormalDimension:
-    value: int
-
-
-def formal_dimension(alg: SullivanAlgebra, cert) -> FormalDimension:
+def formal_dimension(alg: SullivanAlgebra, cert) -> int:
     """The top nonzero cohomological degree; valid only given ellipticity."""
     if not isinstance(cert, EllipticityCertificate):
         raise StructureError("formal dimension requires an ellipticity certificate")
-    return FormalDimension(dimension_formula(alg))
+    return dimension_formula(alg)
 
 
 # -- tensor products -------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import ALL_KEYS, built
 from minmod import catalog
+from minmod.dsl import print_algebra
 from minmod.sullivan import check_d_squared, check_minimality, dimension_formula
 
 
@@ -38,6 +39,12 @@ def test_cp_and_sphere():
     assert dimension_formula(af.algebra) == 16
     af = catalog.build("sphere", k=6)
     assert dimension_formula(af.algebra) == 6
+    assert print_algebra(catalog.build("cp", n=3)) == (
+        "gen x : 2\ngen y : 13\nd y = x^7\nvolume x^6\n")
+    assert print_algebra(catalog.build("sphere", k=8)) == (
+        "gen x : 8\ngen y : 15\nd y = x^2\nvolume x\n")
+    with pytest.raises(ValueError, match="^sphere requires an even degree$"):
+        catalog.build("sphere", k=7)
 
 
 def test_parameter_validation():
@@ -60,3 +67,24 @@ def test_parameter_validation():
 def test_describe_lists_every_entry():
     rows = catalog.describe()
     assert {r[0] for r in rows} == {e.key for e in catalog.ENTRIES}
+    assert rows == [
+        ("lemma", "7-generator elliptic family, dim 231+4i", "i: i >= 0"),
+        ("chain-base", "base algebra of the fibration chain, dim 64", "-"),
+        ("chain-fibered", "total space with a contractible pair", "-"),
+        ("chain-reduced", "reduced total space, dim 66", "-"),
+        ("chiral1", "orientation-chirality family, dim 4*l1+8*l2+22", "l1: l1 >= 2; l2: l2 >= 2"),
+        ("chiral2", "orientation-chirality family, dim 4*l+57", "l: l >= 4"),
+        ("chiral3", "orientation-chirality family, dim 4*l+27", "l: l >= 5"),
+        ("lower-grading", "monomial-differential flexible example, dim 18", "-"),
+        ("cp", "even complex projective space model, dim 4n", "n: n >= 1"),
+        ("sphere", "even sphere model", "k: even, k >= 2"),
+    ]
+
+
+@pytest.mark.parametrize("entry", catalog.ENTRIES, ids=lambda e: e.key)
+def test_least_parameter_values_build_and_one_less_does_not(entry):
+    least = {name: low for name, low, _ in entry.parameters}
+    assert catalog.build(entry.key, **least).algebra.generators
+    for name in least:
+        with pytest.raises(ValueError, match=f"parameter {name} must be an integer >= "):
+            catalog.build(entry.key, **dict(least, **{name: least[name] - 1}))

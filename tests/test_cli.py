@@ -255,18 +255,40 @@ def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "check", str(bad))[0] == USAGE
 
 
-@pytest.mark.parametrize("argv", [("dim", "lemma({})"), ("catalog", "lemma", "--param", "{}")],
-                         ids=["spec", "param"])
+@pytest.mark.parametrize("argv", [
+    lambda parts: ("dim", f"lemma({','.join(parts)})"),
+    lambda parts: ("catalog", "lemma", *(a for p in parts for a in ("--param", p)))],
+    ids=["spec", "param"])
 def test_catalog_parameters_parse_alike_in_both_spellings(capsys, argv):
-    def err_for(value):
-        code, _, err = run(capsys, *(a.format(value) for a in argv))
+    def err_for(*parts):
+        code, _, err = run(capsys, *argv(parts))
         assert code == USAGE
         return err
 
     assert err_for("i=oops") == "catalog parameter i must be an integer\n"
     assert err_for("oops") == "bad catalog parameter 'oops'\n"
-    code, out, _ = run(capsys, *(a.format("i = 1") for a in argv))
+    assert err_for("i=0", "i=2") == "duplicate catalog parameter 'i'\n"
+    code, out, _ = run(capsys, *argv(["i = 1"]))
     assert code == PASS and out
+
+
+def test_catalog_unknown_key_message_is_unquoted(capsys):
+    code, out, err = run(capsys, "catalog", "nonesuch")
+    assert code == USAGE and out == ""
+    assert err == ("unknown catalog entry 'nonesuch'; known: ['chain-base', 'chain-fibered', "
+                   "'chain-reduced', 'chiral1', 'chiral2', 'chiral3', 'cp', 'lemma', "
+                   "'lower-grading', 'sphere']\n")
+
+
+def test_catalog_param_without_key_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "catalog", "--param", "n=4")
+    assert (code, out, err) == (USAGE, "", "--param needs a catalog key\n")
+
+
+def test_missing_volume_reads_alike_in_every_command(capsys):
+    for command in ("volume", "spectrum", "flex"):
+        code, out, err = run(capsys, command, "chain-fibered")
+        assert (code, out, err) == (FAIL, "", "the presentation declares no volume form\n")
 
 
 def test_json_reports_validate_against_schema(capsys):

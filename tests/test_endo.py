@@ -248,7 +248,7 @@ def test_spectrum_chiral1_flexible_with_negative_witness():
     assert any(d < 0 for d in degrees)
     for leaf in v.leaves:
         for morphism, degree in leaf.witnesses:
-            rep = verify_morphism(af.algebra, morphism, vol)
+            rep = verify_morphism(af.algebra, morphism.images, vol)
             assert rep.valid and rep.degree == degree
 
 

@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
+from minmod.gca import FreeGCA, Generator
 from minmod.poly import MPoly
 
 
@@ -64,3 +67,41 @@ def test_substitute():
 def test_str_round_trip_shape():
     p = MPoly.var("k1") ** 2 - MPoly.var("k2")
     assert str(p) == "k1^2 - k2"
+
+
+def test_scalar_equal_sums_look_up_like_the_scalar():
+    assert {MPoly.const(3): "x"}.get(3) == "x"
+    assert 3 in {MPoly.const(3)}
+    assert {MPoly(): 1}.get(0) == 1
+    free = FreeGCA([Generator("x", 2)])
+    assert {free.zero(): 1}.get(0) == 1
+
+
+_FREE = FreeGCA([Generator("x", 2), Generator("y", 3)])
+_SMALL = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1), Fraction(2)])
+
+
+@st.composite
+def _value(draw):
+    """A scalar, an MPoly or an Element over few monomials and coefficients,
+    built through arithmetic so that equal values arise different ways."""
+    kind = draw(st.sampled_from(["int", "fraction", "mpoly", "element"]))
+    c = draw(_SMALL)
+    if kind == "int":
+        return int(c)
+    if kind == "fraction":
+        return c
+    if kind == "mpoly":
+        k = MPoly.var("k1", draw(st.integers(0, 1)))
+        return k * c + MPoly.const(draw(_SMALL)) - k * draw(_SMALL)
+    x = _FREE.gen(draw(st.sampled_from(["x", "y"])))
+    return x.scale(c) + _FREE.one().scale(draw(_SMALL)) - x.scale(draw(_SMALL))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(_value(), min_size=2, max_size=6))
+def test_equal_values_hash_alike(values):
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)

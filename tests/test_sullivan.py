@@ -97,7 +97,7 @@ def test_formal_dimension_values():
 
 def test_formal_dimension_requires_certificate():
     af, cert = built("lemma", i=0)
-    assert formal_dimension(af.algebra, cert).value == 231
+    assert formal_dimension(af.algebra, cert) == 231
     with pytest.raises(StructureError):
         formal_dimension(af.algebra, None)
 
