@@ -77,17 +77,23 @@ def _build(key: str, parts) -> AlgebraFile:
         raise ParseError(exc.args[0])
 
 
+def _read(path: str) -> str:
+    """The text of a file; an unreadable one is a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path!r}: {exc.strerror}")
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path!r}: not UTF-8 text")
+
+
 def load_algebra(spec: str) -> AlgebraFile:
     """A DSL file path, or a catalog spec like ``chiral1(l1=4,l2=2)``."""
     m = _CATALOG_SPEC.match(spec)
     if m and m.group(1) in {e.key for e in catalog.ENTRIES}:
         return _build(m.group(1), filter(None, (m.group(2) or "").split(",")))
-    try:
-        with open(spec, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {spec!r}: {exc.strerror}")
-    return parse_algebra(text, name=spec)
+    return parse_algebra(_read(spec), name=spec)
 
 
 def _report(args, command, af, verdict, lines, payload) -> int:
@@ -290,8 +296,7 @@ def cmd_flex(args) -> int:
 
 def cmd_verify(args) -> int:
     af = load_algebra(args.algebra)
-    with open(args.morphism, encoding="utf-8") as fh:
-        images = parse_morphism(af.algebra, fh.read())
+    images = parse_morphism(af.algebra, _read(args.morphism))
     vol = _volume(af) if af.volume is not None else None
     report = verify_morphism(af.algebra, images, vol)
     if report.valid:
@@ -335,8 +340,10 @@ def validate_report(doc) -> None:
 def cmd_replay(args) -> int:
     import jsonschema
 
-    with open(args.report, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        doc = json.loads(_read(args.report))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid report: not JSON ({exc.msg}, line {exc.lineno})")
     try:
         validate_report(doc)
     except jsonschema.ValidationError as exc:
@@ -422,7 +429,7 @@ def _replay_volume(af, doc) -> list:
         failures.append("representative is not closed")
     if any(alg.free.monomial_degree(m) != top for m in phi):
         failures.append(f"functional has a monomial outside degree {top}")
-    functional = TopFunctional(alg, top, phi)
+    functional = TopFunctional(alg, phi)
     if not functional.replay_annihilates_d():
         failures.append("functional does not annihilate d")
     if functional.apply(rep) != 1:

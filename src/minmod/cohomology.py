@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import sub
 
 from .gca import Element, StructureError
 from .linalg import Inconsistent, LinearSolver
-from .sullivan import (EllipticityCertificate, SullivanAlgebra, TensorProduct,
-                       dimension_formula, extend_derivation)
+from .sullivan import (EllipticityCertificate, SullivanAlgebra, TensorProduct, apply_algebra_map,
+                       check_d_squared, dimension_formula, extend_derivation)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -184,8 +184,14 @@ class TopFunctional:
     """
 
     alg: SullivanAlgebra
-    degree: int
     phi: dict  # monomial -> Fraction
+
+    @cached_property
+    def box(self) -> tuple:
+        """The componentwise maximum exponent over phi's monomials.  Exponents
+        only grow under multiplication, so a product may drop its terms
+        outside the box before phi reads it."""
+        return tuple(map(max, zip(*self.phi)))
 
     def apply(self, e: Element):
         """phi(e); works for Fraction and for symbolic (MPoly) coefficients."""
@@ -213,7 +219,6 @@ def top_functional_from_volume(alg: SullivanAlgebra, vol: Element):
 
     Returns None iff vol is exact.
     """
-    n = vol.degree()
     solver = LinearSolver()
     try:
         for img in _rhs_block(alg, vol.terms).values():
@@ -221,7 +226,7 @@ def top_functional_from_volume(alg: SullivanAlgebra, vol: Element):
         solver.add_equation(vol.terms, ONE)
     except Inconsistent:
         return None
-    return TopFunctional(alg, n, solver.particular_solution())
+    return TopFunctional(alg, solver.particular_solution())
 
 
 @dataclass
@@ -229,6 +234,17 @@ class VolumeForm:
     representative: Element
     degree: int
     functional: TopFunctional
+
+    def mapping_degree(self, alg: SullivanAlgebra, images: dict):
+        """phi(f(vol)), with f(vol) multiplied out only inside phi's box.
+
+        For a d-commuting f this is its degree: f(vol) is closed of the top
+        degree, and the algebra (d^2 = 0, elliptic) satisfies Poincare
+        duality (Felix-Halperin-Thomas, GTM 205, sections 32 and 38), so top
+        cohomology is the line of [vol].  Coefficients may be MPolys.
+        """
+        f_vol = apply_algebra_map(alg, images, self.representative, self.functional.box)
+        return self.functional.apply(f_vol)
 
 
 def verify_volume_form(alg: SullivanAlgebra, e: Element, cert) -> VolumeForm:
@@ -240,6 +256,8 @@ def verify_volume_form(alg: SullivanAlgebra, e: Element, cert) -> VolumeForm:
     """
     if not isinstance(cert, EllipticityCertificate):
         raise VolumeRejection("no ellipticity certificate: formal dimension undefined")
+    if not check_d_squared(alg):
+        raise VolumeRejection("d^2 != 0")
     if not e:
         raise VolumeRejection("zero element")
     if not e.is_homogeneous():
@@ -272,19 +290,10 @@ def _product_functional(prod: TensorProduct, e: Element) -> TopFunctional:
         phis.append(verify_volume_form(factor, vol, cert).functional.phi)
     fa, fb = phis
     phi = {ma + mb: ca * cb for ma, ca in fa.items() if ca for mb, cb in fb.items() if cb}
-    top = e.degree()
-    lam = TopFunctional(prod, top, phi).apply(e)
+    lam = TopFunctional(prod, phi).apply(e)
     if not lam:
         raise VolumeRejection("not separated by the product functional")
-    return TopFunctional(prod, top, {m: c / lam for m, c in phi.items()})
-
-
-def _top_cohomology_is_one_dimensional(alg: SullivanAlgebra, n: int) -> bool:
-    if isinstance(alg, TensorProduct):
-        # Kunneth: the top line is the product of the factor top lines
-        return all(_top_cohomology_is_one_dimensional(f, dimension_formula(f))
-                   for f, _, _ in alg.factors)
-    return betti(alg, n) == 1
+    return TopFunctional(prod, {m: c / lam for m, c in phi.items()})
 
 
 def top_class_coefficient(alg: SullivanAlgebra, e: Element, vol: VolumeForm):
@@ -295,6 +304,4 @@ def top_class_coefficient(alg: SullivanAlgebra, e: Element, vol: VolumeForm):
         raise StructureError(f"element degree {e.degree()} is not the top degree {vol.degree}")
     if extend_derivation(alg, e):
         raise StructureError("element is not closed")
-    if not _top_cohomology_is_one_dimensional(alg, vol.degree):
-        raise StructureError("top cohomology is not 1-dimensional")
     return vol.functional.apply(e)

@@ -177,11 +177,17 @@ class AlgebraFile:
     algebra: SullivanAlgebra = field(repr=False)
 
 
+def _once(repeated: bool, statement: str, head: Token):
+    """A ``d``, ``param`` or ``volume`` statement may appear once."""
+    if repeated:
+        raise ParseError(f"repeated statement {statement!r}", head.line, head.col)
+
+
 def parse_algebra(text: str, name: str = "") -> AlgebraFile:
     """Parse a presentation into a structurally validated SullivanAlgebra."""
     params: dict = {}
     gen_decls: list = []  # (name, degree)
-    diff_lines: list = []  # (gen name, tokens, line_no)
+    diff_lines: dict = {}  # gen name -> (tokens, line_no)
     volume_tokens = None
 
     for line_no, toks in _statements(text):
@@ -189,6 +195,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
         if head.value == "param":
             if len(toks) < 4 or toks[2].value != "=":
                 raise ParseError("expected: param NAME = INT", line_no, head.col)
+            _once(toks[1].value in params, f"param {toks[1].value}", head)
             val = _ExprParser(toks[3:], line_no, dict(params)).parse()
             if not isinstance(val, Fraction) or val.denominator != 1:
                 raise ParseError("param value must be an integer", line_no, toks[3].col)
@@ -203,8 +210,10 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
         elif head.value == "d":
             if len(toks) < 4 or toks[1].kind != "name" or toks[2].value != "=":
                 raise ParseError("expected: d NAME = EXPR", line_no, head.col)
-            diff_lines.append((toks[1].value, toks[3:], line_no))
+            _once(toks[1].value in diff_lines, f"d {toks[1].value}", head)
+            diff_lines[toks[1].value] = (toks[3:], line_no)
         elif head.value == "volume":
+            _once(volume_tokens is not None, "volume", head)
             volume_tokens = (toks[1:], line_no)
         else:
             raise ParseError(f"unknown statement {head.value!r}", line_no, head.col)
@@ -219,7 +228,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
         symbols[n] = free.gen(n)
 
     diff: dict = {}
-    for gname, toks, line_no in diff_lines:
+    for gname, (toks, line_no) in diff_lines.items():
         if gname not in free.index:
             raise ParseError(f"differential for unknown generator {gname!r}", line_no, 1)
         try:

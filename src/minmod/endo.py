@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 import sympy
 
-from .cohomology import VolumeForm, top_class_coefficient
+from .cohomology import VolumeForm
 from .gca import Element, StructureError, within
 from .linalg import Inconsistent, LinearSolver
 from .poly import MPoly, add_terms, render_terms
@@ -336,13 +337,6 @@ class EnumerationCap(Exception):
     """Too many solutions to enumerate; the case must stay unresolved."""
 
 
-@dataclass
-class MonomialSolutions:
-    finite: bool
-    solutions: tuple       # dicts var -> Fraction, all nonzero
-    free_directions: tuple  # rational kernel basis when not finite
-
-
 def _gf2_enumerate(rows, rhs, variables):
     """All sign vectors (dicts var -> +-1) solving the GF(2) system.
 
@@ -408,13 +402,13 @@ def _vp(q: Fraction, p: int) -> int:
     return v
 
 
-def solve_monomial_system(eqs) -> MonomialSolutions:
-    """Exact solution set over the nonzero rationals.
+def solve_monomial_system(eqs) -> tuple:
+    """The exact solution set over the nonzero rationals: dicts var -> Fraction.
 
     Magnitudes: the exponent matrix acts on valuation vectors; a trivial
     rational kernel pins every magnitude (one linear solve per prime dividing
-    a constant).  Signs: the same matrix over GF(2); raises EnumerationCap
-    when they are too many to enumerate.
+    a constant).  Signs: the same matrix over GF(2).  Raises EnumerationCap
+    when the kernel is nontrivial or the signs are too many to enumerate.
     """
     eqs = [e for e in eqs or []]
     variables = sorted({v for eq in eqs for v, _ in eq.exps})
@@ -423,18 +417,17 @@ def solve_monomial_system(eqs) -> MonomialSolutions:
     for eq in eqs:
         if not eq.exps:
             if eq.const != 1:
-                return MonomialSolutions(True, (), ())
+                return ()
             continue
         rows.append({v: Fraction(e) for v, e in eq.exps})
         consts.append(eq.const)
-    if not rows:
-        return MonomialSolutions(True, ({},) if not variables else (), ())
+    if not rows:  # then no equation has a variable
+        return ({},)
     solver = LinearSolver()
     for row in rows:
         solver.add_equation(dict(row), ZERO)
-    kernel = solver.kernel_basis(variables)
-    if kernel:
-        return MonomialSolutions(False, (), tuple(kernel))
+    if solver.kernel_basis(variables):
+        raise EnumerationCap("free multiplicative kernel")
     primes = set()
     for c in consts:
         primes |= set(sympy.factorint(c.numerator))
@@ -446,21 +439,21 @@ def solve_monomial_system(eqs) -> MonomialSolutions:
             for row, c in zip(rows, consts):
                 psolver.add_equation(dict(row), Fraction(_vp(c, p)))
         except Inconsistent:
-            return MonomialSolutions(True, (), ())
+            return ()
         sol = psolver.particular_solution()
         for v, e in sol.items():
             if e.denominator != 1:
-                return MonomialSolutions(True, (), ())
+                return ()
             magnitudes[v] *= Fraction(p) ** int(e)
     signs = _gf2_enumerate(rows, [1 if c < 0 else 0 for c in consts], variables)
     if signs is None:
-        return MonomialSolutions(True, (), ())
+        return ()
     sols = []
     for sv in signs:
         cand = {v: sv[v] * magnitudes[v] for v in variables}
         if all(eq.holds(cand) for eq in eqs if eq.exps):
             sols.append(cand)
-    return MonomialSolutions(True, tuple(sols), ())
+    return tuple(sols)
 
 
 # -- mapping degree of the ansatz ------------------------------------------
@@ -470,25 +463,18 @@ def volume_degree_polynomial(alg: SullivanAlgebra, ansatz: EndoAnsatz,
                              vol: VolumeForm, ctx: CaseContext) -> MPoly:
     """The mapping degree phi(f(vol)) of the ansatz under the case's substitutions.
 
-    The separating functional phi reads the degree off f(vol) directly;
-    unknowns multiplying closed complements contribute exact terms that phi
-    kills, so the result only involves genuinely free survivors.
-
-    Only the support box is expanded: the componentwise maximum exponent over
-    the monomials where phi is nonzero.  Image terms outside the box are
-    dropped before normalizing, and f(vol) is multiplied out one generator
-    factor at a time, dropping every partial-product term that leaves the box.
-    This is exact: exponents only grow under multiplication, so a dropped
-    term never reaches a monomial where phi is nonzero, and ``ctx.normalize``
-    is a ring map, so normalizing the images before multiplying gives the
-    same polynomial as normalizing after.
+    Read by :meth:`VolumeForm.mapping_degree`; unknowns multiplying closed
+    complements contribute exact terms that phi kills, so the result only
+    involves genuinely free survivors.  Image terms outside phi's support box
+    never reach it, so they are dropped before normalizing; ``ctx.normalize``
+    is a ring map, so normalizing before multiplying equals normalizing after.
     """
-    box = tuple(map(max, zip(*vol.functional.phi)))
+    box = vol.functional.box
     images = {}
     for name, img in ansatz.images.items():
         images[name] = alg.free.element({m: ctx.normalize(c) for m, c in img.terms.items()
                                          if within(m, box)})
-    lam = vol.functional.apply(apply_algebra_map(alg, images, vol.representative, box))
+    lam = vol.mapping_degree(alg, images)
     return lam if isinstance(lam, MPoly) else MPoly.const(lam)
 
 
@@ -525,9 +511,7 @@ def verify_morphism(alg: SullivanAlgebra, images: dict, vol: VolumeForm | None) 
             return MorphismReport(False, g.name, None)
     if vol is None:
         return MorphismReport(True, None, None)
-    fvol = apply_algebra_map(alg, images, vol.representative)
-    lam = top_class_coefficient(alg, fvol, vol)
-    return MorphismReport(True, None, lam)
+    return MorphismReport(True, None, vol.mapping_degree(alg, images))
 
 
 def morphism_from_assignment(ansatz: EndoAnsatz, assignment: dict, label="") -> ConcreteMorphism:
@@ -563,6 +547,9 @@ class DegreeFamily:
     @property
     def never_negative(self) -> bool:
         return self.coeff > 0 and all(e % 2 == 0 for _, e in self.exps)
+
+    def value_at(self, t: Fraction) -> Fraction:
+        return self.coeff * prod(t ** e for _, e in self.exps)
 
 
 @dataclass
@@ -701,12 +688,9 @@ class _Explorer:
         solutions = ({},)
         if eqs:
             try:
-                sols = solve_monomial_system(eqs)
+                solutions = solve_monomial_system(eqs)
             except EnumerationCap as cap:
                 return _open_leaf(ctx, work, str(cap))
-            if not sols.finite:
-                return _open_leaf(ctx, work, "free multiplicative kernel")
-            solutions = sols.solutions
         degrees = []
         families = []
         witnesses = []
@@ -721,7 +705,8 @@ class _Explorer:
         return CaseLeaf(ctx.assumptions, True, tuple(degrees), tuple(families), tuple(witnesses))
 
     def _close_out(self, ctx, lam, fixed):
-        """Ground a case: constant degree, or a verified monomial family.
+        """Ground a case: a constant degree, a monomial family or a polynomial
+        probe, with a verified witness at each of its sample points.
 
         Returns (constant degrees, families, witnesses), or the reason the
         case stays open: a witness that fails verification or disagrees with
@@ -730,77 +715,59 @@ class _Explorer:
         """
         c = lam.constant_value()
         if c is not None:
-            w = self._witness(ctx, fixed, {}, f"degree {c}")
-            if w is None or w[1] != c:
-                return UNVERIFIED
-            return [c], [], [w]
-        sm = lam.as_single_monomial()
-        if sm is None:
-            return self._poly_probe(ctx, lam, fixed)
-        coeff, exps = sm
-        family = DegreeFamily(coeff, tuple(sorted(exps.items())))
+            family, points = None, [({}, f"degree {c}", c)]
+        else:
+            sm = lam.as_single_monomial()
+            if sm is not None:
+                family = DegreeFamily(sm[0], tuple(sorted(sm[1].items())))
+                samples = [(t, {v: t for v, _ in family.exps})
+                           for t in map(Fraction, FAMILY_SAMPLES)]
+            elif (probe := self._poly_probe(lam)) is not None:
+                family, samples = probe
+            else:
+                return OUTSIDE_FRAGMENT
+            points = [(values, f"t = {t}", family.value_at(t)) for t, values in samples]
         witnesses = []
-        for t in FAMILY_SAMPLES:
-            tq = Fraction(t)
-            val = coeff
-            for _, e in family.exps:
-                val *= tq ** e
-            w = self._witness(ctx, fixed, {v: tq for v, _ in family.exps}, f"t = {t}")
-            if w is None or w[1] != val:
+        for values, label, degree in points:
+            w = self._witness(ctx, fixed, values, label)
+            if w is None or w[1] != degree:
                 return UNVERIFIED
             witnesses.append(w)
-        return [], [family], witnesses
+        return ([c], [], witnesses) if family is None else ([], [family], witnesses)
 
-    def _poly_probe(self, ctx, lam, fixed):
+    def _poly_probe(self, lam):
         """Pin all but one surviving unknown to 1 and read off a univariate
         degree polynomial; any nonconstant probe is an achievable family.
 
-        Probes with an odd-exponent term are preferred, since they achieve
-        both signs; those also get a verified negative sample.
+        Returns the family and its sample points (t, unknown values), or
+        None.  Probes with an odd-exponent term are preferred, since they
+        achieve both signs; those also get a negative sample.
         """
         varlist = sorted(lam.variables())
         choice = None
         for v in varlist:
             others = {u: ONE for u in varlist if u != v}
-            p = lam.substitute(others) if others else lam
-            coeffs = []
-            ok = True
-            for k, c in p.terms.items():
-                if k == ():
-                    coeffs.append((0, c))
-                elif len(k) == 1 and k[0][0] == v:
-                    coeffs.append((k[0][1], c))
-                else:
-                    ok = False
-                    break
-            if not ok or not any(e for e, _ in coeffs):
-                continue
+            # only v is left, so each term is a constant or a power of v
+            coeffs = ((k[0][1] if k else 0, c) for k, c in lam.substitute(others).terms.items())
             fam = PolynomialFamily(tuple(sorted(coeffs, reverse=True)))
+            if not fam.coeffs or fam.coeffs[0][0] == 0:
+                continue
             odd = any(e % 2 for e, _ in fam.coeffs)
             if choice is None or (odd and not choice[2]):
-                choice = (v, fam, odd)
+                choice = (v, fam, odd, others)
             if odd:
                 break
         if choice is None:
-            return OUTSIDE_FRAGMENT
-        v, family, odd = choice
-        others = {u: ONE for u in varlist if u != v}
-        samples = list(FAMILY_SAMPLES) + ([-2] if odd else [])
-        if not family.never_negative and \
-                all(family.value_at(Fraction(t)) >= 0 for t in samples):
+            return None
+        v, family, odd, others = choice
+        samples = [Fraction(t) for t in FAMILY_SAMPLES + ((-2,) if odd else ())]
+        if not family.never_negative and all(family.value_at(t) >= 0 for t in samples):
             # sign changes may only happen at non-integer rationals
             cand = (Fraction(p, q) for q in (2, 3, 4) for p in range(-8, 9) if p)
             neg = next((t for t in cand if family.value_at(t) < 0), None)
             if neg is not None:
                 samples.append(neg)
-        witnesses = []
-        for t in samples:
-            tq = Fraction(t)
-            w = self._witness(ctx, fixed, {v: tq, **others}, f"t = {t}")
-            if w is None or w[1] != family.value_at(tq):
-                return UNVERIFIED
-            witnesses.append(w)
-        return [], [family], witnesses
+        return family, [(t, {v: t, **others}) for t in samples]
 
     def _witness(self, ctx, fixed, family_values, label):
         """Instantiate the case at a concrete point and re-verify end to end."""

@@ -255,6 +255,22 @@ def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "check", str(bad))[0] == USAGE
 
 
+def test_unreadable_morphism_or_report_is_a_one_line_usage_error(capsys, tmp_path):
+    missing = str(tmp_path / "missing")
+    code, out, err = run(capsys, "verify", "cp(n=4)", missing)
+    assert (code, out, err) == (USAGE, "", f"cannot read {missing!r}: No such file or directory\n")
+    code, out, err = run(capsys, "replay", missing)
+    assert (code, out, err) == (USAGE, "", f"cannot read {missing!r}: No such file or directory\n")
+    p = tmp_path / "report.json"
+    p.write_text("verify: not json\n")
+    code, out, err = run(capsys, "replay", str(p))
+    assert (code, out) == (USAGE, "")
+    assert err.startswith("invalid report: not JSON (") and err.count("\n") == 1
+    p.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "replay", str(p))
+    assert (code, out, err) == (USAGE, "", f"cannot read {str(p)!r}: not UTF-8 text\n")
+
+
 @pytest.mark.parametrize("argv", [
     lambda parts: ("dim", f"lemma({','.join(parts)})"),
     lambda parts: ("catalog", "lemma", *(a for p in parts for a in ("--param", p)))],

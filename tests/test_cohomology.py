@@ -8,10 +8,11 @@ from conftest import built, certified
 from minmod.cohomology import (VolumeRejection, betti, betti_table, d_matrix,
                                is_closed, is_exact, top_class_coefficient,
                                verify_volume_form)
-from minmod.dsl import parse_element
+from minmod.dsl import parse_algebra, parse_element
 from minmod.gca import StructureError
-from minmod.sullivan import (apply_algebra_map, dimension_formula, ellipticity_certificate,
-                             extend_derivation, tensor_product)
+from minmod.sullivan import (EllipticityCertificate, apply_algebra_map, check_d_squared,
+                             dimension_formula, ellipticity_certificate, extend_derivation,
+                             tensor_product)
 
 
 def test_d_matrix_shapes():
@@ -84,6 +85,18 @@ def test_verify_volume_form_rejections():
         verify_volume_form(alg, parse_element(alg, "a*n*m"), cert)  # not closed
     with pytest.raises(VolumeRejection):
         verify_volume_form(alg, af.volume, None)  # no certificate
+
+
+def test_verify_volume_form_rejects_d_squared_nonzero():
+    # d(a*b) = x^2*b, so d^2 c != 0; the certificate itself replays
+    af = parse_algebra("gen x : 2\ngen a : 3\ngen b : 3\ngen c : 5\n"
+                       "d a = x^2\nd c = a*b\n")
+    alg = af.algebra
+    cert = EllipticityCertificate(alg, {"x": (2, alg.gen("a"))})
+    assert cert.replay() and not check_d_squared(alg)
+    with pytest.raises(VolumeRejection) as exc:
+        verify_volume_form(alg, parse_element(alg, "x*a*c"), cert)
+    assert exc.value.reason == "d^2 != 0"
 
 
 def test_product_volume_needs_both_factor_volumes():

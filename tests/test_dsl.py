@@ -78,6 +78,18 @@ def test_duplicate_generators_rejected():
         parse_algebra("gen x : 4\ngen x : 6\n")
 
 
+@pytest.mark.parametrize("text,statement,line", [
+    ("gen x : 2\ngen y : 3\nd y = 0\nd y = x^2\nvolume x\nvolume x^5\n", "d y", 4),
+    ("gen x : 2\ngen y : 3\nd y = x^2\nvolume x\nvolume x^5\n", "volume", 5),
+    ("param n = 2\nparam n = 3\ngen x : 2*n\n", "param n", 2),
+], ids=["d", "volume", "param"])
+def test_repeated_statement_rejected_at_its_line(text, statement, line):
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(text)
+    assert f"repeated statement {statement!r}" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (line, 1)
+
+
 def test_degree_below_two_rejected():
     with pytest.raises(ParseError):
         parse_algebra("gen x : 1\n")

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import ALL_KEYS, built, certified
 from minmod import endo
-from minmod.cohomology import verify_volume_form
+from minmod.cohomology import betti, top_class_coefficient, verify_volume_form
 from minmod.dsl import parse_morphism
 from minmod.endo import (CaseContext, Contradiction, EnumerationCap,
                          MonomialEquation, SolverConfig, _Explorer,
@@ -97,8 +97,7 @@ def test_monomial_system_signs():
         eq({"k1": 8, "k2": 8}, {"k1": 18, "k2": 1}),
         eq({"k1": 18, "k2": 1}, {"k2": 13}),
     ])
-    assert sols.finite
-    got = {(s["k1"], s["k2"]) for s in sols.solutions}
+    got = {(s["k1"], s["k2"]) for s in sols}
     assert got == {(1, 1), (-1, 1)}
 
 
@@ -110,15 +109,14 @@ def test_monomial_system_other_sign_pattern():
         eq({"k1": 5, "k2": 14}, {"k1": 18}),
         eq({"k1": 18}, {"k2": 18}),
     ])
-    assert sols.finite
-    got = {(s["k1"], s["k2"]) for s in sols.solutions}
+    got = {(s["k1"], s["k2"]) for s in sols}
     assert got == {(1, 1), (1, -1)}
 
 
 def test_monomial_system_free_kernel():
     eq = to_monomial_equation(_mono_poly({"k1": 2}) - _mono_poly({"k2": 2}))
-    sols = solve_monomial_system([eq])
-    assert not sols.finite and sols.free_directions
+    with pytest.raises(EnumerationCap, match="free multiplicative kernel"):
+        solve_monomial_system([eq])
 
 
 def _unit_squares(n):
@@ -128,8 +126,7 @@ def _unit_squares(n):
 
 def test_monomial_system_sign_cap_is_not_an_empty_set():
     eqs = [to_monomial_equation(p) for p in _unit_squares(12)]
-    sols = solve_monomial_system(eqs)
-    assert sols.finite and len(sols.solutions) == 4096
+    assert len(solve_monomial_system(eqs)) == 4096
     eqs = [to_monomial_equation(p) for p in _unit_squares(13)]
     with pytest.raises(EnumerationCap):
         solve_monomial_system(eqs)
@@ -309,11 +306,13 @@ def test_pruned_degree_matches_full_expansion_at_catalog_roots():
             _full_expansion_degree(af.algebra, ansatz, vol, ctx), key
 
 
-@pytest.mark.parametrize("left,right", [
-    (("chiral3", {"l": 5}), ("chiral3", {"l": 5})),
-    (("chiral2", {"l": 4}), ("lower-grading", {})),
-    (("lower-grading", {}), ("lower-grading", {})),
-], ids=["chiral3xchiral3", "chiral2xlower-grading", "lower-gradingxlower-grading"])
+PRODUCT_PAIRS = ((("chiral3", {"l": 5}), ("chiral3", {"l": 5})),
+                 (("chiral2", {"l": 4}), ("lower-grading", {})),
+                 (("lower-grading", {}), ("lower-grading", {})))
+PRODUCT_IDS = ["chiral3xchiral3", "chiral2xlower-grading", "lower-gradingxlower-grading"]
+
+
+@pytest.mark.parametrize("left,right", PRODUCT_PAIRS, ids=PRODUCT_IDS)
 def test_pruned_degree_matches_full_expansion_on_product_case_trees(monkeypatch, left, right):
     prod, pvol = _product(left, right)
     reached = []
@@ -330,6 +329,29 @@ def test_pruned_degree_matches_full_expansion_on_product_case_trees(monkeypatch,
     for ctx in reached:
         assert volume_degree_polynomial(prod, ansatz, pvol, ctx) == \
             _full_expansion_degree(prod, ansatz, pvol, ctx), ctx.assumptions
+
+
+def _certified_volume_cases():
+    for key, params in ALL_KEYS:
+        af, _, vol = certified(key, **params)
+        yield key, af.algebra, vol, SolverConfig()
+    for (left, right), name in zip(PRODUCT_PAIRS, PRODUCT_IDS):
+        yield (name, *_product(left, right), SolverConfig(node_budget=400))
+
+
+def test_mapping_degree_matches_top_class_coefficient_on_every_witness():
+    # verify_morphism reads phi(f(vol)) inside phi's box and relies on Poincare
+    # duality for a one-dimensional top cohomology; the reference checks that
+    # line by rank and reads the degree off the full f(vol)
+    for name, alg, vol, cfg in _certified_volume_cases():
+        assert betti(alg, vol.degree) == 1, name
+        witnesses = [w for leaf in degree_spectrum(alg, vol, cfg).leaves for w in leaf.witnesses]
+        assert witnesses, name
+        for morphism, degree in witnesses:
+            rep = verify_morphism(alg, morphism.images, vol)
+            fvol = apply_algebra_map(alg, morphism.images, vol.representative)
+            assert rep.valid and rep.degree == degree == top_class_coefficient(alg, fvol, vol), \
+                (name, morphism.label)
 
 
 def test_constant_factors_leave_the_case_unresolved(monkeypatch):
