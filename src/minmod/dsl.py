@@ -178,7 +178,7 @@ class AlgebraFile:
 
 
 def _once(repeated: bool, statement: str, head: Token):
-    """A ``d``, ``param`` or ``volume`` statement may appear once."""
+    """A ``d``, ``param``, ``volume`` or ``f`` statement may appear once."""
     if repeated:
         raise ParseError(f"repeated statement {statement!r}", head.line, head.col)
 
@@ -280,6 +280,7 @@ def parse_morphism(alg: SullivanAlgebra, text: str) -> dict:
         gname = toks[1].value
         if gname not in alg.free.index:
             raise ParseError(f"unknown generator {gname!r}", line_no, toks[1].col)
+        _once(gname in images, f"f {gname}", toks[0])
         val = _ExprParser(toks[3:], line_no, symbols).parse()
         if isinstance(val, Fraction):
             val = alg.free.one().scale(val) if val else alg.free.zero()

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-import sympy
-
 from .cohomology import VolumeForm
 from .gca import Element, StructureError, within
 from .linalg import Inconsistent, LinearSolver
@@ -252,9 +250,13 @@ def simplify(constraints, ctx: CaseContext):
 
 
 # -- sympy-backed factoring ------------------------------------------------
+# sympy is imported inside each function that uses it, so that a process
+# which never splits a case never pays for loading it.
 
 
 def _to_sympy(p: MPoly):
+    import sympy
+
     # one flat Add: adding term by term costs time quadratic in the term count
     return sympy.Add(*(sympy.Mul(sympy.Rational(c.numerator, c.denominator),
                                  *(sympy.Symbol(v) ** e for v, e in k))
@@ -262,6 +264,8 @@ def _to_sympy(p: MPoly):
 
 
 def _from_sympy(expr) -> MPoly:
+    import sympy
+
     expr = sympy.expand(expr)
     out: dict = {}
     for term in expr.as_ordered_terms():
@@ -280,6 +284,8 @@ def _from_sympy(expr) -> MPoly:
 
 def factor_constraint(p: MPoly) -> list:
     """Distinct irreducible factors over Q (constants and multiplicity dropped)."""
+    import sympy
+
     _, factors = sympy.factor_list(_to_sympy(p))
     return [_from_sympy(base) for base, _ in factors]
 
@@ -291,6 +297,8 @@ def reduce_modulo(p: MPoly, polys) -> MPoly:
     degree may be read off the remainder; in particular a zero remainder
     proves the degree vanishes on the whole case.
     """
+    import sympy
+
     polys = [q for q in polys if q]
     if not polys or not p:
         return p
@@ -428,10 +436,12 @@ def solve_monomial_system(eqs) -> tuple:
         solver.add_equation(dict(row), ZERO)
     if solver.kernel_basis(variables):
         raise EnumerationCap("free multiplicative kernel")
+    from sympy import factorint
+
     primes = set()
-    for c in consts:
-        primes |= set(sympy.factorint(c.numerator))
-        primes |= set(sympy.factorint(c.denominator))
+    for c in consts:  # signs are the GF(2) step's: factor magnitudes only
+        primes |= set(factorint(abs(c.numerator)))
+        primes |= set(factorint(c.denominator))
     magnitudes = {v: ONE for v in variables}
     for p in primes:
         psolver = LinearSolver()

@@ -255,6 +255,13 @@ def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "check", str(bad))[0] == USAGE
 
 
+def test_verify_rejects_a_repeated_image(capsys, tmp_path):
+    p = tmp_path / "f.mor"
+    p.write_text("f x = 2*x\nf y = 512*y\nf x = 3*x\n")
+    code, out, err = run(capsys, "verify", "cp(n=4)", str(p))
+    assert (code, out, err) == (USAGE, "", "repeated statement 'f x' (line 3, column 1)\n")
+
+
 def test_unreadable_morphism_or_report_is_a_one_line_usage_error(capsys, tmp_path):
     missing = str(tmp_path / "missing")
     code, out, err = run(capsys, "verify", "cp(n=4)", missing)

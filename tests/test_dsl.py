@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from minmod import catalog
 from minmod.dsl import (ParseError, element_str, parse_algebra, parse_element,
                         parse_morphism, print_algebra)
 
@@ -140,6 +141,14 @@ def test_parse_morphism():
         parse_morphism(af.algebra, "f x = 2*x\n")  # y missing
     with pytest.raises(ParseError):
         parse_morphism(af.algebra, "f x = 2*x\nf w = 0\n")
+
+
+def test_repeated_morphism_statement_rejected_at_its_line():
+    alg = catalog.build("cp", n=4).algebra
+    with pytest.raises(ParseError) as exc:
+        parse_morphism(alg, "f x = 2*x\nf y = 512*y\nf x = 3*x\n")
+    assert "repeated statement 'f x'" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (3, 1)
 
 
 def test_morphism_zero_image():

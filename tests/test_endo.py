@@ -119,6 +119,17 @@ def test_monomial_system_free_kernel():
         solve_monomial_system([eq])
 
 
+@pytest.mark.parametrize("exponent,const,want", [
+    (1, -2, ({"a": Fraction(-2)},)),
+    (2, -1, ()),
+    (3, -8, ({"a": Fraction(-2)},)),
+], ids=["a=-2", "a^2=-1", "a^3=-8"])
+def test_monomial_system_negative_constant(exponent, const, want):
+    # factorint(-n) lists -1 as a prime, and _vp(c, -1) never returns
+    eq = MonomialEquation((("a", exponent),), Fraction(const))
+    assert solve_monomial_system([eq]) == want
+
+
 def _unit_squares(n):
     """The polynomials s_i^2 - 1: every sign of every s_i solves them."""
     return [MPoly.var(f"s{i}") ** 2 - 1 for i in range(1, n + 1)]

@@ -1,11 +1,17 @@
-"""The scripts the README lists, and ``python -m minmod``, run from a plain checkout."""
+"""The scripts the README lists, and ``python -m minmod``, run from a plain checkout.
+
+Fresh processes also show that sympy is loaded only by the case solver.
+"""
 
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def _run_without_install(*argv, cwd=ROOT):
@@ -29,5 +35,51 @@ def test_orientation_reversal_witness_runs_without_install():
 
 def test_python_dash_m_minmod_runs_from_src():
     out = _run_without_install("-m", "minmod", "--json", "dim", "cp(n=4)",
-                               cwd=os.path.join(ROOT, "src"))
+                               cwd=SRC)
     assert json.loads(out)["dimension"] == 16, out
+
+
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+from minmod import cli
+loaded = {"import": "sympy" in sys.modules}
+codes = {}
+for command, spec in [("check", "cp(n=4)"), ("volume", "cp(n=4)"), ("flex", "cp(n=4)"),
+                      ("betti", "cp(n=4)"), ("spectrum", "lemma(i=0)")]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes[command] = cli.main(["--json", command, spec])
+    loaded[command] = "sympy" in sys.modules
+print(json.dumps([codes, loaded]))
+"""
+
+
+def test_sympy_is_loaded_only_by_a_spectrum_that_splits_cases():
+    codes, loaded = json.loads(_run_without_install("-c", IMPORT_GUARD, cwd=SRC))
+    assert codes == dict.fromkeys(("check", "volume", "flex", "betti", "spectrum"), 0)
+    assert loaded == {"import": False, "check": False, "volume": False, "flex": False,
+                      "betti": False, "spectrum": True}
+
+
+FIRST_SYMPY_USER = """
+import sys
+from fractions import Fraction
+from minmod import endo
+from minmod.poly import MPoly
+k1, k2 = MPoly.var("k1"), MPoly.var("k2")
+before = "sympy" in sys.modules
+print(repr({expr}))
+print(before, "sympy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("expr,want", [
+    ("sorted(str(f) for f in endo.factor_constraint(k1**2 - k2**2))", "['k1 + k2', 'k1 - k2']"),
+    ("str(endo.reduce_modulo(k1**2*k2, [k1 - 2]))", "'4*k2'"),
+    ("str(endo._from_sympy(endo._to_sympy(Fraction(3, 2)*k1**2*k2 - k2 + 5)))",
+     "'5 + 3/2*k1^2*k2 - k2'"),
+    ("endo.solve_monomial_system([endo.MonomialEquation(((\"a\", 3),), Fraction(-8))])",
+     "({'a': Fraction(-2, 1)},)"),
+], ids=["factor_constraint", "reduce_modulo", "round_trip", "solve_monomial_system"])
+def test_case_solver_loads_sympy_on_first_use(expr, want):
+    out = _run_without_install("-c", FIRST_SYMPY_USER.format(expr=expr), cwd=SRC)
+    assert out.splitlines() == [want, "False True"], out
