@@ -369,10 +369,7 @@ def _replay_checks(doc, command) -> list:
     alg = af.algebra
     failures = []
     if command == "check":
-        for c in doc["certificates"]["ellipticity"]:
-            w = parse_element(alg, c["witness"])
-            if extend_derivation(alg, w) != alg.gen(c["generator"]) ** c["exponent"]:
-                failures.append(f"ellipticity witness for {c['generator']}")
+        failures += _replay_check(alg, doc)
     elif command == "dim":
         if dimension_formula(alg) != doc["dimension"]:
             failures.append("dimension")
@@ -396,6 +393,24 @@ def _replay_checks(doc, command) -> list:
     return failures
 
 
+def _replay_check(alg, doc) -> list:
+    """Recompute d^2 = 0 and minimality; replay one witness per even generator."""
+    checks = doc["checks"]
+    failures = [f"{key} is {ok}, the report says {checks[key]}"
+                for key, ok in (("d_squared", bool(check_d_squared(alg))),
+                                ("minimal", bool(check_minimality(alg))))
+                if ok != checks[key]]
+    certs = doc["certificates"]["ellipticity"]
+    names = sorted(c["generator"] for c in certs)
+    even = sorted(g.name for g in alg.generators if not g.is_odd) if checks["elliptic"] else []
+    powers = {c["generator"]: (c["exponent"], parse_element(alg, c["witness"])) for c in certs}
+    if names != even:
+        failures.append(f"ellipticity witnesses for {names}, expected {even}")
+    elif not EllipticityCertificate(alg, powers).replay():
+        failures.append("ellipticity witnesses do not verify")
+    return failures
+
+
 def _rational(text) -> Fraction:
     """A rational number a report states, or ParseError."""
     try:
@@ -414,6 +429,14 @@ def _functional_monomial(alg, text):
 
 
 def _replay_volume(af, doc) -> list:
+    if "rejected" in doc:
+        try:
+            _volume(af)
+        except VolumeRejection as exc:
+            if exc.reason == doc["rejected"]:
+                return []
+            return [f"volume rejected for {exc.reason!r}, the report says {doc['rejected']!r}"]
+        return [f"volume form verifies, the report says rejected for {doc['rejected']!r}"]
     alg = af.algebra
     top = dimension_formula(alg)
     phi = {}

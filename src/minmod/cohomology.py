@@ -2,8 +2,8 @@
 
 Closed/exact tests with witnesses, Betti numbers, volume-form
 verification and the top-class functional that reads off mapping degrees.
-Everything is solved by deterministic Gauss-Jordan elimination over Q
-(first nonzero pivot in basis order).
+Everything is solved by deterministic Gaussian elimination with
+back-substitution over Q (first nonzero pivot in basis order).
 
 Exactness witnesses and top functionals are solved only on the block of d
 that holds the right-hand side: the columns reached from its monomials by
@@ -64,11 +64,9 @@ def _rank_d(alg: SullivanAlgebra, n: int) -> int:
     if n < 0:
         return 0
     mat = d_matrix(alg, n)
-    # rank of the column space: insert columns as rows of the transpose
-    solver = LinearSolver()
+    solver = LinearSolver()  # the rank of d's columns is the rank of its rows
     for col in mat.columns:
-        if col:
-            solver.add_equation(dict(col), ZERO)
+        solver.add_equation(col)
     return solver.rank
 
 

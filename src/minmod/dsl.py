@@ -178,7 +178,7 @@ class AlgebraFile:
 
 
 def _once(repeated: bool, statement: str, head: Token):
-    """A ``d``, ``param``, ``volume`` or ``f`` statement may appear once."""
+    """A ``gen``, ``d``, ``param``, ``volume`` or ``f`` statement may appear once."""
     if repeated:
         raise ParseError(f"repeated statement {statement!r}", head.line, head.col)
 
@@ -186,7 +186,7 @@ def _once(repeated: bool, statement: str, head: Token):
 def parse_algebra(text: str, name: str = "") -> AlgebraFile:
     """Parse a presentation into a structurally validated SullivanAlgebra."""
     params: dict = {}
-    gen_decls: list = []  # (name, degree)
+    gen_decls: dict = {}  # name -> degree
     diff_lines: dict = {}  # gen name -> (tokens, line_no)
     volume_tokens = None
 
@@ -203,10 +203,11 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
         elif head.value == "gen":
             if len(toks) < 4 or toks[1].kind != "name" or toks[2].value != ":":
                 raise ParseError("expected: gen NAME : DEGREE", line_no, head.col)
+            _once(toks[1].value in gen_decls, f"gen {toks[1].value}", head)
             deg = _ExprParser(toks[3:], line_no, dict(params)).parse()
             if not isinstance(deg, Fraction) or deg.denominator != 1 or deg < 2:
                 raise ParseError(f"degree must be an integer >= 2, got {deg}", line_no, toks[3].col)
-            gen_decls.append((toks[1].value, int(deg)))
+            gen_decls[toks[1].value] = int(deg)
         elif head.value == "d":
             if len(toks) < 4 or toks[1].kind != "name" or toks[2].value != "=":
                 raise ParseError("expected: d NAME = EXPR", line_no, head.col)
@@ -218,13 +219,9 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
         else:
             raise ParseError(f"unknown statement {head.value!r}", line_no, head.col)
 
-    names = [n for n, _ in gen_decls]
-    dupes = {n for n in names if names.count(n) > 1}
-    if dupes:
-        raise ParseError(f"duplicate generator declarations: {sorted(dupes)}", 0, 0)
-    free = FreeGCA(Generator(n, d) for n, d in gen_decls)
+    free = FreeGCA(Generator(n, d) for n, d in gen_decls.items())
     symbols = dict(params)
-    for n, _ in gen_decls:
+    for n in gen_decls:
         symbols[n] = free.gen(n)
 
     diff: dict = {}
@@ -256,7 +253,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
     try:
         alg = SullivanAlgebra(free, diff, name=name)
     except StructureError as exc:
-        raise ParseError(str(exc), 0, 0) from exc
+        raise ParseError(str(exc)) from exc
     return AlgebraFile(name, list(free.generators), volume, alg)
 
 
@@ -287,7 +284,7 @@ def parse_morphism(alg: SullivanAlgebra, text: str) -> dict:
         images[gname] = val
     for g in alg.generators:
         if g.name not in images:
-            raise ParseError(f"morphism gives no image for generator {g.name}", 0, 0)
+            raise ParseError(f"morphism gives no image for generator {g.name}")
     return images
 
 

@@ -630,7 +630,6 @@ class _Explorer:
         self.vol = vol
         self.cfg = cfg
         self.nodes = 0
-        self.capped = False
         self.factors = {}  # blocking polynomial -> its nonconstant factors
 
     def run(self, constraints):
@@ -639,7 +638,6 @@ class _Explorer:
     def _explore(self, constraints, ctx, depth):
         self.nodes += 1
         if self.nodes > self.cfg.node_budget:
-            self.capped = True
             return [_open_leaf(ctx, (), "node budget exceeded")]
         try:
             work, ctx = simplify(constraints, ctx)
@@ -651,7 +649,6 @@ class _Explorer:
         if not blocking:
             return [self._leaf(work, ctx)]
         if depth >= self.cfg.case_depth:
-            self.capped = True
             return [_open_leaf(ctx, blocking, "case depth exceeded")]
         split = self._split_variable(blocking, ctx)
         if split is not None:
@@ -818,9 +815,9 @@ def degree_spectrum(alg: SullivanAlgebra, vol: VolumeForm,
     """
     ansatz = generic_ansatz(alg)
     extracted = extract_constraints(alg, ansatz)
-    explorer = _Explorer(alg, ansatz, vol, config)
-    leaves = explorer.run(extracted)
-    complete = not explorer.capped and all(leaf.resolved for leaf in leaves)
+    leaves = _Explorer(alg, ansatz, vol, config).run(extracted)
+    # a cap leaves an unresolved leaf, so a capped analysis is never complete
+    complete = all(leaf.resolved for leaf in leaves)
     constants = sorted({q for leaf in leaves for q in leaf.degrees})
     families = []
     seen = set()

@@ -190,13 +190,9 @@ def bigraded_cohomology_basis(alg: SullivanAlgebra, grading: LowerGrading,
         ranks = {}
         for lev in sorted(by_level):
             monos = by_level[lev]
-            rows: dict = {}
-            for j, m in enumerate(monos if lev else ()):  # d vanishes on level 0
-                for mm, c in extend_derivation(alg, Element(alg.free, {m: ONE})).terms.items():
-                    rows.setdefault(mm, {})[j] = c
-            solver = LinearSolver()
-            for row in rows.values():
-                solver.add_equation(row)
+            solver = LinearSolver()  # the rank of d's columns is the rank of its rows
+            for m in monos if lev else ():  # d vanishes on level 0
+                solver.add_equation(extend_derivation(alg, Element(alg.free, {m: ONE})).terms)
             ranks[lev] = solver.rank
             out += [(n, lev)] * (len(monos) - solver.rank - below.get(lev + 1, 0))
         below = ranks

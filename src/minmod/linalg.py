@@ -1,7 +1,8 @@
 """Sparse exact linear algebra over the rationals.
 
-A small Gauss-Jordan eliminator on sparse rows.  Equations come in and
-results go out as ``fractions.Fraction``; in between every row is an
+Gaussian elimination with back-substitution on sparse rows (Cohen, *A
+Course in Computational Algebraic Number Theory*, §2.2).  Equations come in
+and results go out as ``fractions.Fraction``; in between every row is an
 integer dict, reduced by cross-multiplication and kept primitive (the
 fraction-free elimination of Bareiss, Math. Comp. 22, 1968).  Pivot choice
 is deterministic (smallest variable key first), so particular solutions,
@@ -11,6 +12,7 @@ ranks and kernel bases are reproducible across runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 ZERO = Fraction(0)
@@ -36,18 +38,17 @@ def _integer_row(row, rhs):
 
 
 class LinearSolver:
-    """Incremental Gauss-Jordan elimination over Q on integer rows.
+    """Incremental row echelon form over Q on integer rows.
 
-    Rows are kept mutually reduced: every pivot row is a primitive integer
-    dict (gcd 1, rhs included) with a positive entry on its pivot variable
-    and none on any other pivot variable.  Scaling a row keeps its support,
-    so the pivots, and the reduced form they determine, are those of
-    elimination over Q.
+    Every pivot row is stored once, as inserted, and never changed: a
+    primitive integer dict (gcd 1, rhs included) whose pivot is its least
+    variable, with a positive entry there.  The reduction of a row against
+    these rows is unique up to scale, so the pivots, ranks and solutions are
+    those of elimination over Q in any order.
     """
 
     def __init__(self):
         self.pivrows = {}  # pivot var -> (integer row dict, integer rhs)
-        self._mentions = {}  # var -> pivot vars whose rows hold it off the pivot
 
     @property
     def rank(self) -> int:
@@ -57,9 +58,14 @@ class LinearSolver:
         """``(row, rhs, s)``: ``s`` times the input minus a combination of
         pivot rows, as integers and free of every pivot variable."""
         row, rhs, s = _integer_row(row, rhs)
-        # pivot rows reference no other pivots, so one pass eliminates all
-        for v in [v for v in row if v in self.pivrows]:
-            f = row.pop(v)
+        # clearing pivot v only adds variables above v, so clear in ascending order
+        pending = [v for v in row if v in self.pivrows]
+        heapify(pending)
+        while pending:
+            v = heappop(pending)
+            f = row.pop(v, 0)
+            if not f:
+                continue
             prow, prhs = self.pivrows[v]
             a = prow[v]
             g = gcd(a, f)
@@ -72,11 +78,14 @@ class LinearSolver:
             for k, c in prow.items():
                 if k == v:
                     continue
-                nv = row.get(k, 0) - f * c
+                old = row.get(k, 0)
+                nv = old - f * c
                 if nv:
                     row[k] = nv
+                    if not old and k in self.pivrows:
+                        heappush(pending, k)
                 else:
-                    row.pop(k, None)
+                    del row[k]
             rhs -= f * prhs
         return row, rhs, s
 
@@ -97,55 +106,24 @@ class LinearSolver:
         if g != 1:
             row = {k: c // g for k, c in row.items()}
             rhs //= g
-        b = row[v]
-        # clear the new pivot variable from the rows that hold it
-        for pv in self._mentions.pop(v, ()):
-            prow, prhs = self.pivrows[pv]
-            f = prow.pop(v)
-            h = gcd(b, f)
-            a, f = b // h, f // h
-            if a != 1:
-                prow = {k: a * c for k, c in prow.items()}
-                prhs *= a
-            for k, c in row.items():
-                if k == v:
-                    continue
-                nv = prow.get(k, 0) - f * c
-                if nv:
-                    prow[k] = nv
-                    self._mentions.setdefault(k, set()).add(pv)
-                else:
-                    prow.pop(k, None)
-                    self._mentions[k].discard(pv)
-            prhs -= f * rhs
-            h = gcd(prhs, *prow.values())
-            if h != 1:
-                prow = {k: c // h for k, c in prow.items()}
-                prhs //= h
-            self.pivrows[pv] = (prow, prhs)
-        for k in row:
-            if k != v:
-                self._mentions.setdefault(k, set()).add(v)
         self.pivrows[v] = (row, rhs)
 
-    def residual(self, row, rhs=ZERO):
-        """Reduce an equation without inserting it; empty row means implied."""
-        row, rhs, s = self._reduce(row, rhs)
-        return {k: Fraction(c, s) for k, c in row.items()}, Fraction(rhs, s)
+    def _back_substitute(self, x, rhs) -> dict:
+        """Extend the free-variable values ``x`` to the pivots, highest pivot
+        first, using the row rhs when ``rhs`` is set; the nonzero pivot
+        values in pivot insertion order."""
+        for v in sorted(self.pivrows, reverse=True):
+            prow, prhs = self.pivrows[v]
+            t = (prhs if rhs else 0) - sum(c * x[k] for k, c in prow.items() if k in x)
+            if t:
+                x[v] = Fraction(t) / prow[v]
+        return {v: x[v] for v in self.pivrows if v in x}
 
     def particular_solution(self) -> dict:
         """The solution with every free variable set to 0."""
-        return {v: Fraction(rhs, prow[v]) for v, (prow, rhs) in self.pivrows.items() if rhs}
+        return self._back_substitute({}, True)
 
     def kernel_basis(self, variables) -> list:
         """Basis of the homogeneous solution space over the given variables."""
-        pivots = set(self.pivrows)
-        basis = []
-        for f in sorted(v for v in variables if v not in pivots):
-            vec = {f: ONE}
-            for pv, (prow, _) in self.pivrows.items():
-                c = prow.get(f)
-                if c:
-                    vec[pv] = Fraction(-c, prow[pv])
-            basis.append(vec)
-        return basis
+        return [{f: ONE, **self._back_substitute({f: ONE}, False)}
+                for f in sorted(v for v in variables if v not in self.pivrows)]

@@ -167,14 +167,62 @@ def test_replay_detects_tampering(capsys, tmp_path):
     assert code == FAIL and "replay FAIL" in out
 
 
-def _replay_tampered(capsys, tmp_path, argv, tamper):
+def _replay_tampered(capsys, tmp_path, argv, tamper, emitted=PASS):
     code, out, _ = run(capsys, "--json", *argv)
-    assert code == PASS
+    assert code == emitted
     doc = json.loads(out)
     tamper(doc)
     p = tmp_path / "report.json"
     p.write_text(json.dumps(doc))
     return run(capsys, "replay", str(p))
+
+
+def _empty_witnesses(doc):
+    doc["certificates"]["ellipticity"] = []
+
+
+def _empty_witnesses_and_false_checks(doc):
+    _empty_witnesses(doc)
+    doc["checks"].update(d_squared=False, minimal=False)
+
+
+@pytest.mark.parametrize("tamper,reasons", [
+    (_empty_witnesses, ["ellipticity witnesses for [], expected ['x']"]),
+    (_empty_witnesses_and_false_checks, ["d_squared is True, the report says False",
+                                         "minimal is True, the report says False",
+                                         "ellipticity witnesses for [], expected ['x']"]),
+], ids=["no-witnesses", "false-checks"])
+def test_replay_check_recomputes_the_checks_and_needs_every_witness(capsys, tmp_path,
+                                                                     tamper, reasons):
+    code, out, _ = _replay_tampered(capsys, tmp_path, ("check", "cp(n=2)"), tamper)
+    assert code == FAIL
+    assert out.splitlines() == [f"replay FAIL: {r}" for r in reasons]
+
+
+def test_replay_rejected_volume_reruns_the_volume_check(capsys, tmp_path):
+    alg = tmp_path / "s2.alg"
+    alg.write_text("gen x : 2\ngen y : 3\nd y = x^2\nvolume x^2\n")
+    code, out, _ = _replay_tampered(capsys, tmp_path, ("volume", str(alg)), lambda doc: None,
+                                    emitted=FAIL)
+    assert code == PASS and out == "replayed volume: all certificates verify\n"
+    code, out, _ = _replay_tampered(capsys, tmp_path, ("volume", str(alg)),
+                                    lambda doc: doc.update(rejected="too small"), emitted=FAIL)
+    assert code == FAIL
+    assert out == ("replay FAIL: volume rejected for 'degree 4 != formal dimension 2', "
+                   "the report says 'too small'\n")
+
+
+@pytest.mark.parametrize("argv,tamper,missing", [
+    (("check", "cp(n=2)"), lambda doc: [doc.pop(k) for k in ("argv", "algebra", "checks",
+                                                              "certificates")], "algebra"),
+    (("spectrum", "cp(n=2)"), lambda doc: doc.pop("witnesses"), "witnesses"),
+    (("volume", "cp(n=2)"), lambda doc: doc.pop("functional"), "functional"),
+], ids=["bare-check", "spectrum-without-witnesses", "volume-without-functional"])
+def test_replay_rejects_a_report_without_its_command_fields(capsys, tmp_path, argv, tamper,
+                                                           missing):
+    code, out, err = _replay_tampered(capsys, tmp_path, argv, tamper)
+    assert code == USAGE and not out
+    assert err == f"invalid report: {missing!r} is a required property\n"
 
 
 def _replay_tampered_volume(capsys, tmp_path, tamper):

@@ -83,7 +83,8 @@ def test_duplicate_generators_rejected():
     ("gen x : 2\ngen y : 3\nd y = 0\nd y = x^2\nvolume x\nvolume x^5\n", "d y", 4),
     ("gen x : 2\ngen y : 3\nd y = x^2\nvolume x\nvolume x^5\n", "volume", 5),
     ("param n = 2\nparam n = 3\ngen x : 2*n\n", "param n", 2),
-], ids=["d", "volume", "param"])
+    ("gen x : 4\ngen x : 6\n", "gen x", 2),
+], ids=["d", "volume", "param", "gen"])
 def test_repeated_statement_rejected_at_its_line(text, statement, line):
     with pytest.raises(ParseError) as exc:
         parse_algebra(text)
@@ -149,6 +150,32 @@ def test_repeated_morphism_statement_rejected_at_its_line():
         parse_morphism(alg, "f x = 2*x\nf y = 512*y\nf x = 3*x\n")
     assert "repeated statement 'f x'" in str(exc.value)
     assert (exc.value.line, exc.value.col) == (3, 1)
+
+
+@pytest.mark.parametrize("text,morphism", [
+    ("gen x : 4\ngen x : 6\n", None),
+    ("gen x : 1\n", None),
+    ("gen x : 2\nd x = y\n", None),
+    ("gen x : 2\ngen y : 3\nd z = x^2\n", None),
+    ("gen x : 2\ngen y : 3\nd y = x^\n", None),
+    ("gen x : 2\ngen y : 3\nvolume 2\n", None),
+    ("gen x : 2\ngen y : 3\nd y = x^2\n", "f x = 2*x\n"),
+    ("gen x : 2\ngen y : 3\nd y = x^2\n", "f x = 2*x\nf x = x\n"),
+], ids=["repeated-gen", "low-degree", "unknown-name", "unknown-generator", "end-of-expression",
+        "numeric-volume", "missing-image", "repeated-image"])
+def test_parse_errors_name_no_line_zero(text, morphism):
+    with pytest.raises(ParseError) as exc:
+        alg = parse_algebra(text).algebra
+        parse_morphism(alg, morphism)
+    assert "line 0" not in str(exc.value)
+
+
+def test_whole_file_errors_carry_no_location():
+    af = parse_algebra("gen x : 2\ngen y : 3\nd y = x^2\n")
+    with pytest.raises(ParseError) as exc:
+        parse_morphism(af.algebra, "f x = 2*x\n")
+    assert str(exc.value) == "morphism gives no image for generator y"
+    assert exc.value.line is None
 
 
 def test_morphism_zero_image():

@@ -62,8 +62,9 @@ def _in_span(polys, target):
     solver = LinearSolver()
     for p in polys:
         solver.add_equation({index[m]: c for m, c in p.terms.items()}, Fraction(0))
-    row, rhs = solver.residual({index[m]: c for m, c in target.terms.items()}, Fraction(0))
-    return not row and not rhs
+    rank = solver.rank
+    solver.add_equation({index[m]: c for m, c in target.terms.items()}, Fraction(0))
+    return solver.rank == rank
 
 
 def test_chiral3_constraint_eq6():

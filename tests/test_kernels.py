@@ -5,7 +5,9 @@ behaviour: ``extend_derivation`` as a three-Element product per Leibniz
 term, ``_even_fills`` as a recursive generator, the bigraded cohomology
 basis as representatives (kernel vectors kept when independent of the image
 from one level up) against its count from ranks, ``LinearSolver``
-as Gauss-Jordan on Fraction rows, ``apply_algebra_map`` as a sum of
+as Gauss-Jordan on Fraction rows and as Gauss-Jordan on primitive integer
+rows with an index of the rows each variable occurs in,
+``apply_algebra_map`` as a sum of
 Element products, and ``is_exact``, ``top_functional_from_volume`` and
 ``TopFunctional.replay_annihilates_d`` on the full matrix of d in one
 degree.
@@ -13,6 +15,7 @@ degree.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,7 +25,7 @@ from minmod.cohomology import (ExactnessWitness, TopFunctional, d_matrix, is_clo
 from minmod.endo import generic_ansatz
 from minmod.flexcert import bigraded_cohomology_basis, construct_lower_grading, scaling_images
 from minmod.gca import Element, FreeGCA, Generator, _even_fills
-from minmod.linalg import Inconsistent, LinearSolver
+from minmod.linalg import Inconsistent, LinearSolver, _integer_row
 from minmod.sullivan import (SullivanAlgebra, apply_algebra_map, dimension_formula,
                              ellipticity_certificate, extend_derivation, tensor_product)
 
@@ -109,9 +112,6 @@ class ReferenceLinearSolver:
                 self.pivrows[pv] = (prow, prhs - f * nrhs)
         self.pivrows[v] = (norm, nrhs)
 
-    def residual(self, row, rhs=ZERO):
-        return self._reduce(row, rhs)
-
     def particular_solution(self) -> dict:
         return {v: rhs for v, (_, rhs) in self.pivrows.items() if rhs}
 
@@ -124,6 +124,106 @@ class ReferenceLinearSolver:
                 c = prow.get(f)
                 if c:
                     vec[pv] = -c
+            basis.append(vec)
+        return basis
+
+
+class ReferenceIntegerGaussJordan:
+    """Incremental Gauss-Jordan elimination over Q on primitive integer rows.
+
+    Rows are kept mutually reduced: each new pivot is cleared out of every
+    older row that holds it, found through ``_mentions``.
+    """
+
+    def __init__(self):
+        self.pivrows = {}  # pivot var -> (integer row dict, integer rhs)
+        self._mentions = {}  # var -> pivot vars whose rows hold it off the pivot
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivrows)
+
+    def _reduce(self, row, rhs):
+        row, rhs, s = _integer_row(row, rhs)
+        # pivot rows reference no other pivots, so one pass eliminates all
+        for v in [v for v in row if v in self.pivrows]:
+            f = row.pop(v)
+            prow, prhs = self.pivrows[v]
+            a = prow[v]
+            g = gcd(a, f)
+            a //= g
+            f //= g
+            if a != 1:
+                row = {k: a * c for k, c in row.items()}
+                rhs *= a
+                s *= a
+            for k, c in prow.items():
+                if k == v:
+                    continue
+                nv = row.get(k, 0) - f * c
+                if nv:
+                    row[k] = nv
+                else:
+                    row.pop(k, None)
+            rhs -= f * prhs
+        return row, rhs, s
+
+    def add_equation(self, row, rhs=ZERO) -> None:
+        row, rhs, s = self._reduce(row, rhs)
+        if not row:
+            if rhs:
+                raise Inconsistent(f"0 == {Fraction(rhs, s)}")
+            return
+        v = min(row)
+        g = gcd(rhs, *row.values())
+        if row[v] < 0:
+            g = -g
+        if g != 1:
+            row = {k: c // g for k, c in row.items()}
+            rhs //= g
+        b = row[v]
+        # clear the new pivot variable from the rows that hold it
+        for pv in self._mentions.pop(v, ()):
+            prow, prhs = self.pivrows[pv]
+            f = prow.pop(v)
+            h = gcd(b, f)
+            a, f = b // h, f // h
+            if a != 1:
+                prow = {k: a * c for k, c in prow.items()}
+                prhs *= a
+            for k, c in row.items():
+                if k == v:
+                    continue
+                nv = prow.get(k, 0) - f * c
+                if nv:
+                    prow[k] = nv
+                    self._mentions.setdefault(k, set()).add(pv)
+                else:
+                    prow.pop(k, None)
+                    self._mentions[k].discard(pv)
+            prhs -= f * rhs
+            h = gcd(prhs, *prow.values())
+            if h != 1:
+                prow = {k: c // h for k, c in prow.items()}
+                prhs //= h
+            self.pivrows[pv] = (prow, prhs)
+        for k in row:
+            if k != v:
+                self._mentions.setdefault(k, set()).add(v)
+        self.pivrows[v] = (row, rhs)
+
+    def particular_solution(self) -> dict:
+        return {v: Fraction(rhs, prow[v]) for v, (prow, rhs) in self.pivrows.items() if rhs}
+
+    def kernel_basis(self, variables) -> list:
+        pivots = set(self.pivrows)
+        basis = []
+        for f in sorted(v for v in variables if v not in pivots):
+            vec = {f: ONE}
+            for pv, (prow, _) in self.pivrows.items():
+                c = prow.get(f)
+                if c:
+                    vec[pv] = Fraction(-c, prow[pv])
             basis.append(vec)
         return basis
 
@@ -356,17 +456,26 @@ def test_bigraded_basis_matches_per_level_reference(key, params):
     assert bigraded_cohomology_basis(alg, grading, top) == [(n, lev) for n, lev, _ in ref]
 
 
-def _solver_outputs_agree(new, ref, variables, probes):
+def _insert(new, ref, row, rhs):
+    """Insert one equation into both solvers; both accept it or both raise alike."""
+    outcome = []
+    for solver in (new, ref):
+        try:
+            solver.add_equation(row, rhs)
+            outcome.append(None)
+        except Inconsistent as exc:
+            outcome.append(str(exc))
+    assert outcome[0] == outcome[1], (row, rhs)
+    return outcome[1] is not None
+
+
+def _solver_outputs_agree(new, ref, variables):
     assert new.rank == ref.rank
     for a, b in ((new.particular_solution(), ref.particular_solution()),
                  *zip(new.kernel_basis(variables), ref.kernel_basis(variables))):
         assert list(a.items()) == list(b.items())
         assert all(type(c) is Fraction for c in a.values())
     assert len(new.kernel_basis(variables)) == len(ref.kernel_basis(variables))
-    for row, rhs in probes:
-        (nrow, nrhs), (rrow, rrhs) = new.residual(row, rhs), ref.residual(row, rhs)
-        assert list(nrow.items()) == list(rrow.items()) and nrhs == rrhs
-        assert all(type(c) is Fraction for c in nrow.values()) and type(nrhs) is Fraction
 
 
 def _coefficient(rng, kind):
@@ -411,30 +520,39 @@ def _random_system(rng, kind, homogeneous):
     return keys, eqs
 
 
-@pytest.mark.parametrize("kind", ["integer", "rational", "hilbert", "monomial"])
-@pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "inhomogeneous"])
-def test_linear_solver_matches_fraction_reference(kind, homogeneous):
+def _matches_reference(reference, kind, homogeneous):
     rng = random.Random(f"{kind}-{homogeneous}")
     raised = 0
     for _ in range(150):
         keys, eqs = _random_system(rng, kind, homogeneous)
-        new, ref = LinearSolver(), ReferenceLinearSolver()
+        new, ref = LinearSolver(), reference()
         for row, rhs in eqs:
-            outcome = []
-            for solver in (new, ref):
-                try:
-                    solver.add_equation(row, rhs)
-                    outcome.append(None)
-                except Inconsistent as exc:
-                    outcome.append(str(exc))
-            assert outcome[0] == outcome[1], (row, rhs)
-            raised += outcome[1] is not None
+            raised += _insert(new, ref, row, rhs)
+        _solver_outputs_agree(new, ref, keys)
+        # implied or inconsistent combinations, then arbitrary rows, inserted late
         probes = [_combination(rng, eqs) for _ in range(3) if len(eqs) >= 2]
         probes += [({k: _coefficient(rng, kind) for k in rng.sample(keys, 2)}, ONE)
                    for _ in range(2) if len(keys) >= 2]
-        _solver_outputs_agree(new, ref, keys, probes)
+        for row, rhs in probes:
+            _insert(new, ref, row, rhs)
+            _solver_outputs_agree(new, ref, keys)
     # the inhomogeneous systems do reach the inconsistent case
     assert raised > 5 or homogeneous
+
+
+KINDS = ["integer", "rational", "hilbert", "monomial"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "inhomogeneous"])
+def test_linear_solver_matches_fraction_reference(kind, homogeneous):
+    _matches_reference(ReferenceLinearSolver, kind, homogeneous)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "inhomogeneous"])
+def test_linear_solver_matches_integer_gauss_jordan_reference(kind, homogeneous):
+    _matches_reference(ReferenceIntegerGaussJordan, kind, homogeneous)
 
 
 def _random_box(rng, alg):

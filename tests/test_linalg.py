@@ -1,4 +1,4 @@
-"""Exact sparse Gauss-Jordan solving."""
+"""Exact sparse Gaussian elimination with back-substitution."""
 
 import random
 from fractions import Fraction
@@ -82,8 +82,11 @@ def test_zero_coefficients_are_ignored():
     # an implied equation reduces to an empty row, zeros and all
     solver = LinearSolver()
     solver.add_equation({1: ONE})
-    assert solver.residual({0: Fraction(0), 1: ONE}) == ({}, 0)
-    assert solver.residual({0: Fraction(0), 1: ONE}, ONE) == ({}, ONE)
+    solver.add_equation({0: Fraction(0), 1: ONE})
+    assert solver.rank == 1
+    with pytest.raises(Inconsistent, match="^0 == 1$"):
+        solver.add_equation({0: Fraction(0), 1: ONE}, ONE)
+    assert solver.rank == 1 and solver.kernel_basis(range(2)) == [{0: ONE}]
 
 
 def _random_system(rng):
@@ -97,31 +100,28 @@ def _random_system(rng):
     return nvars, rows
 
 
-def _assert_reduced_integer_rows(solver):
-    pivots = set(solver.pivrows)
-    mentions = {}
+def _assert_echelon_integer_rows(solver):
     for pv, (prow, prhs) in solver.pivrows.items():
         assert all(type(c) is int and c for c in prow.values()) and type(prhs) is int
         assert prow[pv] > 0, (pv, prow)
         assert gcd(prhs, *prow.values()) == 1, (pv, prow, prhs)
-        assert not (set(prow) - {pv}) & pivots, (pv, prow)
-        for k in prow:
-            if k != pv:
-                mentions.setdefault(k, set()).add(pv)
-    assert mentions == {k: s for k, s in solver._mentions.items() if s}
+        assert min(prow) == pv, (pv, prow)
 
 
-def test_pivot_rows_are_primitive_positive_and_mutually_reduced():
+def test_pivot_rows_are_primitive_positive_and_in_echelon_form():
     rng = random.Random(11)
     for _ in range(300):
         nvars, rows = _random_system(rng)
         solver = LinearSolver()
         for row, rhs in rows:
+            before = dict(solver.pivrows)
             try:
                 solver.add_equation(row, rhs)
             except Inconsistent:
                 pass
-            _assert_reduced_integer_rows(solver)
+            # a pivot row is stored once and never changed
+            assert {v: solver.pivrows[v] for v in before} == before
+            _assert_echelon_integer_rows(solver)
         sol = solver.particular_solution()
         for pv, (prow, prhs) in solver.pivrows.items():
             assert sum(Fraction(c) * sol.get(k, 0) for k, c in prow.items()) == prhs
