@@ -60,10 +60,9 @@ def survey(cfg):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--case-depth", type=int, default=None)
+    parser.add_argument("--case-depth", type=int, default=SolverConfig.case_depth)
     args = parser.parse_args(argv)
-    cfg = SolverConfig() if args.case_depth is None else SolverConfig(case_depth=args.case_depth)
-    rows = survey(cfg)
+    rows = survey(SolverConfig(case_depth=args.case_depth))
     width = max(len(r[0]) for r in rows)
     print(f"{'entry':{width}s}  {'dim':>4s}  {'classification':22s}  families")
     for label, dim, cls, fams, dt in rows:

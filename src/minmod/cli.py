@@ -20,8 +20,8 @@ from functools import lru_cache
 from importlib import resources
 
 from . import catalog
-from .cohomology import (TopFunctional, VolumeRejection, betti_table, is_closed,
-                         is_exact, top_functional_from_volume, verify_volume_form)
+from .cohomology import (ExactnessWitness, TopFunctional, VolumeRejection, betti_table,
+                         is_closed, is_exact, verify_volume_form)
 from .dsl import (AlgebraFile, ParseError, element_str, parse_algebra, parse_element,
                   parse_morphism, print_algebra)
 from .endo import SolverConfig, degree_spectrum, verify_morphism
@@ -96,7 +96,22 @@ def load_algebra(spec: str) -> AlgebraFile:
     return parse_algebra(_read(spec), name=spec)
 
 
-def _report(args, command, af, verdict, lines, payload) -> int:
+def _verdict(command, doc) -> str:
+    """The verdict a report's own fields give; emitting and replaying both read it.
+
+    A report fails when a check it states is false, and is inconclusive when
+    none is false but what would decide it is missing."""
+    checks = doc.get("checks", {})
+    ok = {"check": checks.get("d_squared") and checks.get("minimal"),
+          "exact": doc.get("closed"), "volume": "rejected" not in doc, "verify": doc.get("valid"),
+          "flex": all(m.get("failing") is None for m in doc.get("multiples", ()))}.get(command, True)
+    decided = {"check": checks.get("elliptic"), "flex": doc.get("condition"),
+               "spectrum": doc.get("classification") != "Inconclusive"}.get(command, True)
+    return "fail" if not ok else "pass" if decided else "inconclusive"
+
+
+def _report(args, command, af, lines, payload) -> int:
+    verdict = _verdict(command, payload)
     code = {"pass": PASS, "fail": FAIL, "inconclusive": INCONCLUSIVE}[verdict]
     if args.json:
         doc = {
@@ -126,12 +141,12 @@ def _morphism_lines(images: dict) -> list:
 def cmd_catalog(args) -> int:
     if args.key:
         af = _build(args.key, args.param or ())
-        return _report(args, "catalog", af, "pass", [print_algebra(af).rstrip()], {})
+        return _report(args, "catalog", af, [print_algebra(af).rstrip()], {})
     if args.param:
         raise ParseError("--param needs a catalog key")
     rows = catalog.describe()
     lines = [f"{k:14s} {s:55s} {p}" for k, s, p in rows]
-    return _report(args, "catalog", None, "pass", lines,
+    return _report(args, "catalog", None, lines,
                    {"entries": [{"key": k, "summary": s, "parameters": p} for k, s, p in rows]})
 
 
@@ -151,13 +166,12 @@ def cmd_check(args) -> int:
             witnesses.append({"generator": name, "exponent": n, "witness": element_str(w)})
     else:
         lines.append(f"ellipticity: inconclusive at {cert.generator} (bound {cert.n_max})")
-    ok = bool(d2) and bool(minimal) and elliptic
-    verdict = "pass" if ok else ("inconclusive" if d2 and minimal else "fail")
-    lines.append(verdict)
-    return _report(args, "check", af, verdict, lines, {
+    payload = {
         "checks": {"d_squared": bool(d2), "minimal": bool(minimal), "elliptic": elliptic},
         "certificates": {"ellipticity": witnesses},
-    })
+    }
+    lines.append(_verdict("check", payload))
+    return _report(args, "check", af, lines, payload)
 
 
 def _certified(af: AlgebraFile):
@@ -171,7 +185,7 @@ def cmd_dim(args) -> int:
     af = load_algebra(args.algebra)
     cert = _certified(af)
     value = formal_dimension(af.algebra, cert)
-    return _report(args, "dim", af, "pass", [str(value)], {"dimension": value})
+    return _report(args, "dim", af, [str(value)], {"dimension": value})
 
 
 def cmd_betti(args) -> int:
@@ -180,8 +194,7 @@ def cmd_betti(args) -> int:
         dimension_formula(af.algebra), 40)
     table = betti_table(af.algebra, up_to)
     lines = [f"b_{n} = {b}" for n, b in enumerate(table)]
-    return _report(args, "betti", af, "pass", lines,
-                   {"max_degree": up_to, "betti": table})
+    return _report(args, "betti", af, lines, {"max_degree": up_to, "betti": table})
 
 
 def cmd_exact(args) -> int:
@@ -195,8 +208,7 @@ def cmd_exact(args) -> int:
         lines.append(f"exact: {witness is not None}")
         if witness is not None:
             lines.append(f"witness: d({element_str(witness.preimage)})")
-    verdict = "pass" if closed else "fail"
-    return _report(args, "exact", af, verdict, lines, {
+    return _report(args, "exact", af, lines, {
         "expression": args.expression,
         "closed": closed,
         "exact": bool(closed and witness is not None),
@@ -209,12 +221,11 @@ def cmd_volume(args) -> int:
     try:
         vol = _volume(af)
     except VolumeRejection as exc:
-        return _report(args, "volume", af, "fail",
-                       [f"rejected: {exc.reason}"], {"rejected": exc.reason})
+        return _report(args, "volume", af, [f"rejected: {exc.reason}"], {"rejected": exc.reason})
     phi = [{"monomial": af.algebra.free.monomial_str(m), "value": _q(c)}
            for m, c in sorted(vol.functional.phi.items()) if c]
     lines = [f"volume form verified in degree {vol.degree}"]
-    return _report(args, "volume", af, "pass", lines, {
+    return _report(args, "volume", af, lines, {
         "degree": vol.degree,
         "representative": element_str(vol.representative),
         "functional": phi,
@@ -230,8 +241,7 @@ def _volume(af: AlgebraFile):
 def cmd_spectrum(args) -> int:
     af = load_algebra(args.algebra)
     vol = _volume(af)
-    cfg = SolverConfig() if args.case_depth is None else SolverConfig(case_depth=args.case_depth)
-    verdict = degree_spectrum(af.algebra, vol, cfg)
+    verdict = degree_spectrum(af.algebra, vol, SolverConfig(case_depth=args.case_depth))
     witnesses = []
     for leaf in verdict.leaves:
         for morphism, degree in leaf.witnesses:
@@ -244,8 +254,7 @@ def cmd_spectrum(args) -> int:
     if unresolved is not None:
         trail = ", ".join(unresolved.assumptions) or "no assumptions"
         lines.append(f"first unresolved case: {trail} -- {unresolved.residual[-1]}")
-    v = "inconclusive" if verdict.classification == "Inconclusive" else "pass"
-    return _report(args, "spectrum", af, v, lines, {
+    return _report(args, "spectrum", af, lines, {
         "classification": verdict.classification,
         "spectrum": [_q(q) for q in verdict.spectrum],
         "families": [f.describe() for f in verdict.families],
@@ -276,22 +285,21 @@ def cmd_flex(args) -> int:
     }
     if not cond_ok:
         lines.append("no scaling certificate")
-        return _report(args, "flex", af, "inconclusive", lines, payload)
+        return _report(args, "flex", af, lines, payload)
     sc = scaling_certificate(alg, grading, vol)
-    rep = multiple_family_verify(alg, grading, vol, [2, 3])
+    checks = multiple_family_verify(alg, grading, vol, [2, 3])
     lines.append(f"scaling degree: {sc.degree} = {sc.base}^{sc.degree_exponent()}")
     lines.append(sc.family_description())
-    for c in rep.checks:
+    for c in checks:
         lines.append(f"k = {c.k}: degree {c.degree}, {c.classes_checked} classes, "
                      + ("pass" if c.ok else f"FAIL at {c.failing}"))
-    verdict = "pass" if rep.ok else "fail"
     payload["scaling"] = {"base": sc.base, "degree": _q(sc.degree),
                           "exponent": sc.degree_exponent(),
                           "morphism": _morphism_lines(sc.images)}
     payload["multiples"] = [{"k": c.k, "degree": _q(c.degree) if c.degree is not None else None,
                              "classes": c.classes_checked, "failing": c.failing}
-                            for c in rep.checks]
-    return _report(args, "flex", af, verdict, lines, payload)
+                            for c in checks]
+    return _report(args, "flex", af, lines, payload)
 
 
 def cmd_verify(args) -> int:
@@ -305,7 +313,7 @@ def cmd_verify(args) -> int:
             lines.append(f"degree: {report.degree}")
     else:
         lines = [f"not a morphism: fails at {report.failing}"]
-    return _report(args, "verify", af, "pass" if report.valid else "fail", lines, {
+    return _report(args, "verify", af, lines, {
         "valid": report.valid,
         "failing": report.failing,
         "degree": _q(report.degree) if report.degree is not None else None,
@@ -349,11 +357,11 @@ def cmd_replay(args) -> int:
     except jsonschema.ValidationError as exc:
         print(f"invalid report: {exc.message}", file=sys.stderr)
         return USAGE
-    if doc.get("schema") != SCHEMA_ID:
-        print(f"unsupported schema {doc.get('schema')!r}", file=sys.stderr)
-        return USAGE
     command = doc["command"]
     failures = _replay_checks(doc, command)
+    verdict = _verdict(command, doc)
+    if doc["verdict"] != verdict:
+        failures.append(f"the report's fields give verdict {verdict}, it says {doc['verdict']}")
     if failures:
         for f in failures:
             print(f"replay FAIL: {f}")
@@ -367,30 +375,19 @@ def _replay_checks(doc, command) -> list:
         return []
     af = parse_algebra(doc["algebra"]["source"], name=doc["algebra"]["name"])
     alg = af.algebra
-    failures = []
     if command == "check":
-        failures += _replay_check(alg, doc)
-    elif command == "dim":
-        if dimension_formula(alg) != doc["dimension"]:
-            failures.append("dimension")
-    elif command == "betti":
-        if betti_table(alg, doc["max_degree"]) != doc["betti"]:
-            failures.append("betti table")
-    elif command == "exact":
-        e = parse_element(alg, doc["expression"])
-        if is_closed(alg, e) != doc["closed"]:
-            failures.append("closedness")
-        if doc["witness"] is not None:
-            w = parse_element(alg, doc["witness"])
-            if extend_derivation(alg, w) != e:
-                failures.append("exactness witness")
-    elif command == "volume":
-        failures += _replay_volume(af, doc)
-    elif command in ("spectrum", "verify", "flex"):
-        failures += _replay_morphisms(af, doc, command)
-    else:
-        failures.append(f"unreplayable command {command!r}")
-    return failures
+        return _replay_check(alg, doc)
+    if command == "dim":
+        return [] if dimension_formula(alg) == doc["dimension"] else ["dimension"]
+    if command == "betti":
+        return [] if betti_table(alg, doc["max_degree"]) == doc["betti"] else ["betti table"]
+    if command == "exact":
+        return _replay_exact(alg, doc)
+    if command == "volume":
+        return _replay_volume(af, doc)
+    if command == "verify":
+        return _replay_verify(af, doc)
+    return _replay_morphisms(af, doc, command)
 
 
 def _replay_check(alg, doc) -> list:
@@ -409,6 +406,25 @@ def _replay_check(alg, doc) -> list:
     elif not EllipticityCertificate(alg, powers).replay():
         failures.append("ellipticity witnesses do not verify")
     return failures
+
+
+def _replay_exact(alg, doc) -> list:
+    """Exact iff a witness is given, and it must verify; a not-exact claim
+    carries no certificate, so it is solved again."""
+    e = parse_element(alg, doc["expression"])
+    closed, exact, witness = is_closed(alg, e), doc["exact"], doc["witness"]
+    if closed != doc["closed"]:
+        return [f"closed is {closed}, the report says {doc['closed']}"]
+    if witness is not None and not closed:
+        return ["the report gives an exactness witness for an element that is not closed"]
+    if exact != (witness is not None):
+        return [f"exact is {exact}, but the report gives {'a' if witness else 'no'} witness"]
+    if witness is None:
+        solved = closed and is_exact(alg, e) is not None
+        return ["exact is True, the report says False"] if solved else []
+    if not ExactnessWitness(e, parse_element(alg, witness)).replay(alg):
+        return ["exactness witness does not verify"]
+    return []
 
 
 def _rational(text) -> Fraction:
@@ -460,20 +476,27 @@ def _replay_volume(af, doc) -> list:
     return failures
 
 
-def _replay_morphisms(af, doc, command) -> list:
+def _replay_verify(af, doc) -> list:
+    """Re-run the verification and compare all three of its answers."""
     alg = af.algebra
-    vol = None
-    if af.volume is not None:
-        try:
-            vol = _volume(af)
-        except (StructureError, VolumeRejection):
-            vol = None
+    vol = _volume(af) if af.volume is not None else None
+    degree = None if doc["degree"] is None else _rational(doc["degree"])
+    rep = verify_morphism(alg, _images(alg, doc["morphism"]), vol)
+    return [f"{key} is {ok}, the report says {said}"
+            for key, ok, said in (("valid", rep.valid, doc["valid"]),
+                                  ("failing", rep.failing, doc["failing"]),
+                                  ("degree", rep.degree, degree))
+            if ok != said]
+
+
+def _replay_morphisms(af, doc, command) -> list:
+    """Re-verify each morphism a spectrum or flex report states, and its degree."""
+    alg = af.algebra
+    vol = _volume(af)
     failures = []
     if command == "spectrum":
         entries = [(_images(alg, w["morphism"]), w["degree"], w.get("label", ""))
                    for w in doc["witnesses"]]
-    elif command == "verify":
-        entries = [(_images(alg, doc["morphism"]), doc["degree"], "")] if doc["valid"] else []
     else:
         entries = []
         scaling = doc.get("scaling")
@@ -486,6 +509,8 @@ def _replay_morphisms(af, doc, command) -> list:
                     or Fraction(scaling["base"]) ** exponent != _rational(scaling["degree"])):
                 failures.append(f"scaling degree {scaling['degree']} != "
                                 f"{scaling['base']}^{exponent}")
+        if doc["condition"] and not (scaling and doc.get("multiples")):
+            failures.append("the lower-degree condition holds, but no scaling family is given")
         if doc.get("multiples"):
             levels = doc.get("grading", {})
             missing = [g.name for g in alg.generators if g.name not in levels]
@@ -500,7 +525,7 @@ def _replay_morphisms(af, doc, command) -> list:
         tag = f" ({label})" if label else ""
         if not rep.valid:
             failures.append(f"morphism{tag} fails at {rep.failing}")
-        elif degree is not None and vol is not None and rep.degree != degree:
+        elif degree is not None and rep.degree != degree:
             failures.append(f"morphism{tag} degree {rep.degree} != {degree}")
     return failures
 
@@ -531,7 +556,8 @@ def build_parser() -> _Parser:
     p = alg_cmd("exact", cmd_exact)
     p.add_argument("expression")
     alg_cmd("volume", cmd_volume)
-    alg_cmd("spectrum", cmd_spectrum, **{"--case-depth": dict(type=int, default=None)})
+    alg_cmd("spectrum", cmd_spectrum,
+            **{"--case-depth": dict(type=int, default=SolverConfig.case_depth)})
     alg_cmd("flex", cmd_flex)
     p = alg_cmd("verify", cmd_verify)
     p.add_argument("morphism", help="file of `f NAME = EXPR` lines")

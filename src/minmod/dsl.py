@@ -10,8 +10,10 @@ Grammar (one statement per line, ``#`` comments)::
 
 Expressions support ``+ - * ^``, integer and rational (``p/q``) literals and
 parentheses; ``^`` binds tightest and is right-associative with integer
-exponents.  Param names may appear anywhere a number may, so family
-presentations like ``x1^(19 + i)`` stay readable.
+exponents.  A sign binds looser than ``^`` and tighter than ``*``, wherever it
+stands: ``-x^2`` is ``-(x^2)``, ``x*-y^2`` is ``-(x*y^2)``.  Param names may
+appear anywhere a number may, so family presentations like ``x1^(19 + i)``
+stay readable.
 """
 
 from __future__ import annotations
@@ -73,9 +75,9 @@ def _statements(text: str):
 class _ExprParser:
     """Recursive descent over one token list; precedence ^ > unary- > * > +/-."""
 
-    def __init__(self, tokens, line, symbols):
-        self.toks = tokens
-        self.i = 0
+    def __init__(self, statement, start, line, symbols):
+        self.toks = statement  # the expression is statement[start:]
+        self.i = start
         self.line = line
         self.symbols = symbols  # name -> Element or Fraction (params)
 
@@ -85,7 +87,8 @@ class _ExprParser:
     def take(self, value=None):
         t = self.peek()
         if t is None:
-            raise ParseError("unexpected end of expression", self.line, 0)
+            end = self.toks[-1].col + len(self.toks[-1].value) if self.toks else 1
+            raise ParseError("unexpected end of expression", self.line, end)
         if value is not None and t.value != value:
             raise ParseError(f"expected {value!r}, got {t.value!r}", t.line, t.col)
         self.i += 1
@@ -99,14 +102,7 @@ class _ExprParser:
         return v
 
     def sum(self):
-        t = self.peek()
-        neg = False
-        if t and t.value in "+-":
-            self.take()
-            neg = t.value == "-"
         v = self.product()
-        if neg:
-            v = -v
         while (t := self.peek()) and t.value in "+-":
             self.take()
             rhs = self.product()
@@ -114,10 +110,10 @@ class _ExprParser:
         return v
 
     def product(self):
-        v = self.power()
+        v = self.unary()
         while (t := self.peek()) and t.value in "*/":
             self.take()
-            rhs = self.power()
+            rhs = self.unary()
             if t.value == "*":
                 v = v * rhs
             else:
@@ -126,12 +122,20 @@ class _ExprParser:
                 v = v * (1 / rhs)
         return v
 
+    def unary(self):
+        t = self.peek()
+        if t and t.value in "+-":
+            self.take()
+            v = self.unary()
+            return -v if t.value == "-" else v
+        return self.power()
+
     def power(self):
         base = self.atom()
         t = self.peek()
         if t and t.value == "^":
             self.take()
-            exp = self.power()  # right-associative
+            exp = self.unary()  # right-associative; a negative exponent is refused below
             if isinstance(exp, Fraction):
                 if exp.denominator != 1 or exp < 0:
                     raise ParseError(f"exponent must be a non-negative integer, got {exp}", t.line, t.col)
@@ -145,25 +149,17 @@ class _ExprParser:
         return base
 
     def atom(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of expression", self.line, 0)
+        t = self.take()
         if t.value == "(":
-            self.take()
             v = self.sum()
             self.take(")")
             return v
         if t.kind == "num":
-            self.take()
             return Fraction(int(t.value))
         if t.kind == "name":
-            self.take()
             if t.value not in self.symbols:
                 raise ParseError(f"unknown name {t.value!r}", t.line, t.col)
             return self.symbols[t.value]
-        if t.value == "-":
-            self.take()
-            return -self.atom()
         raise ParseError(f"unexpected token {t.value!r}", t.line, t.col)
 
 
@@ -187,7 +183,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
     """Parse a presentation into a structurally validated SullivanAlgebra."""
     params: dict = {}
     gen_decls: dict = {}  # name -> degree
-    diff_lines: dict = {}  # gen name -> (tokens, line_no)
+    diff_lines: dict = {}  # gen name -> (statement tokens, line_no)
     volume_tokens = None
 
     for line_no, toks in _statements(text):
@@ -196,7 +192,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
             if len(toks) < 4 or toks[2].value != "=":
                 raise ParseError("expected: param NAME = INT", line_no, head.col)
             _once(toks[1].value in params, f"param {toks[1].value}", head)
-            val = _ExprParser(toks[3:], line_no, dict(params)).parse()
+            val = _ExprParser(toks, 3, line_no, dict(params)).parse()
             if not isinstance(val, Fraction) or val.denominator != 1:
                 raise ParseError("param value must be an integer", line_no, toks[3].col)
             params[toks[1].value] = Fraction(val)
@@ -204,7 +200,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
             if len(toks) < 4 or toks[1].kind != "name" or toks[2].value != ":":
                 raise ParseError("expected: gen NAME : DEGREE", line_no, head.col)
             _once(toks[1].value in gen_decls, f"gen {toks[1].value}", head)
-            deg = _ExprParser(toks[3:], line_no, dict(params)).parse()
+            deg = _ExprParser(toks, 3, line_no, dict(params)).parse()
             if not isinstance(deg, Fraction) or deg.denominator != 1 or deg < 2:
                 raise ParseError(f"degree must be an integer >= 2, got {deg}", line_no, toks[3].col)
             gen_decls[toks[1].value] = int(deg)
@@ -212,10 +208,10 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
             if len(toks) < 4 or toks[1].kind != "name" or toks[2].value != "=":
                 raise ParseError("expected: d NAME = EXPR", line_no, head.col)
             _once(toks[1].value in diff_lines, f"d {toks[1].value}", head)
-            diff_lines[toks[1].value] = (toks[3:], line_no)
+            diff_lines[toks[1].value] = (toks, line_no)
         elif head.value == "volume":
             _once(volume_tokens is not None, "volume", head)
-            volume_tokens = (toks[1:], line_no)
+            volume_tokens = (toks, line_no)
         else:
             raise ParseError(f"unknown statement {head.value!r}", line_no, head.col)
 
@@ -229,7 +225,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
         if gname not in free.index:
             raise ParseError(f"differential for unknown generator {gname!r}", line_no, 1)
         try:
-            val = _ExprParser(toks, line_no, symbols).parse()
+            val = _ExprParser(toks, 3, line_no, symbols).parse()
         except StructureError as exc:
             raise ParseError(str(exc), line_no, 1) from exc
         if isinstance(val, Fraction):
@@ -246,7 +242,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
     volume = None
     if volume_tokens is not None:
         toks, line_no = volume_tokens
-        volume = _ExprParser(toks, line_no, symbols).parse()
+        volume = _ExprParser(toks, 1, line_no, symbols).parse()
         if isinstance(volume, Fraction):
             raise ParseError("volume must be an algebra element", line_no, 1)
 
@@ -261,7 +257,7 @@ def parse_element(alg: SullivanAlgebra, text: str) -> Element:
     """Parse a single expression in the context of an algebra."""
     symbols = {g.name: alg.gen(g.name) for g in alg.generators}
     toks = _tokenize(text, 1)
-    v = _ExprParser(toks, 1, symbols).parse()
+    v = _ExprParser(toks, 0, 1, symbols).parse()
     if isinstance(v, Fraction):
         return alg.free.one().scale(v)
     return v
@@ -278,7 +274,7 @@ def parse_morphism(alg: SullivanAlgebra, text: str) -> dict:
         if gname not in alg.free.index:
             raise ParseError(f"unknown generator {gname!r}", line_no, toks[1].col)
         _once(gname in images, f"f {gname}", toks[0])
-        val = _ExprParser(toks[3:], line_no, symbols).parse()
+        val = _ExprParser(toks, 3, line_no, symbols).parse()
         if isinstance(val, Fraction):
             val = alg.free.one().scale(val) if val else alg.free.zero()
         images[gname] = val

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .endo import verify_morphism
 from .gca import Element, StructureError
 from .linalg import LinearSolver
 from .sullivan import SullivanAlgebra, dimension_formula, extend_derivation
@@ -25,9 +26,6 @@ class LowerGrading:
     """Generator -> lower degree, extended additively to monomials."""
 
     degrees: tuple  # aligned with alg.generators
-
-    def of_generator(self, alg: SullivanAlgebra, name: str) -> int:
-        return self.degrees[alg.free.index[name]]
 
     def of_monomial(self, mono) -> int:
         return sum(e * l for e, l in zip(mono, self.degrees))
@@ -101,7 +99,7 @@ def two_stage_decomposition(alg: SullivanAlgebra):
 class ScalingCertificate:
     """The morphism v -> base^(i+j) v for v of lower degree i, degree j."""
 
-    base: int
+    base = 2
     images: dict      # name -> Element
     degree: Fraction
 
@@ -127,25 +125,22 @@ def scaling_images(alg: SullivanAlgebra, grading: LowerGrading, base: int) -> di
     return images
 
 
-def scaling_certificate(alg: SullivanAlgebra, grading: LowerGrading, vol,
-                        base: int = 2) -> ScalingCertificate:
+def scaling_certificate(alg: SullivanAlgebra, grading: LowerGrading, vol) -> ScalingCertificate:
     """Build and fully verify the scaling morphism; its degree is nonzero.
 
     Requires check_prop4_condition to hold; a verification failure here
     indicates a grading bug and raises.
     """
-    from .endo import verify_morphism
-
     ok, offender = check_prop4_condition(alg, grading)
     if not ok:
         raise StructureError(f"lower-degree condition fails at {offender}")
-    images = scaling_images(alg, grading, base)
+    images = scaling_images(alg, grading, ScalingCertificate.base)
     report = verify_morphism(alg, images, vol)
     if not report.valid:
         raise StructureError(f"scaling morphism failed verification at {report.failing}")
     if not report.degree:
         raise StructureError("scaling morphism has zero degree")
-    return ScalingCertificate(base, images, report.degree)
+    return ScalingCertificate(images, report.degree)
 
 
 # -- k-th multiples ---------------------------------------------------------
@@ -161,15 +156,6 @@ class MultipleCheck:
     @property
     def ok(self) -> bool:
         return self.failing is None
-
-
-@dataclass
-class MultipleFamilyReport:
-    checks: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
 
 
 def bigraded_cohomology_basis(alg: SullivanAlgebra, grading: LowerGrading,
@@ -200,8 +186,8 @@ def bigraded_cohomology_basis(alg: SullivanAlgebra, grading: LowerGrading,
 
 
 def multiple_family_verify(alg: SullivanAlgebra, grading: LowerGrading, vol,
-                           ks) -> MultipleFamilyReport:
-    """For each k: verify the (2k)-scaling morphism and its action on generators.
+                           ks) -> tuple:
+    """For each k, a MultipleCheck of the (2k)-scaling morphism and its action on generators.
 
     Every image must be (2k)^(i+j) times its generator of bidegree (i, j).
     Such a map multiplies each monomial of bidegree (i, j) by (2k)^(i+j), so
@@ -209,8 +195,6 @@ def multiple_family_verify(alg: SullivanAlgebra, grading: LowerGrading, vol,
     morphism of that form with 2k >= 2 makes each d drop the lower degree by
     exactly one, which is what the class count needs.
     """
-    from .endo import verify_morphism
-
     classes = None
     checks = []
     for k in ks:
@@ -226,4 +210,4 @@ def multiple_family_verify(alg: SullivanAlgebra, grading: LowerGrading, vol,
         if failing is None and classes is None:
             classes = len(bigraded_cohomology_basis(alg, grading, dimension_formula(alg)))
         checks.append(MultipleCheck(k, report.degree, 0 if failing else classes, failing))
-    return MultipleFamilyReport(tuple(checks))
+    return tuple(checks)

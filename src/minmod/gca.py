@@ -234,15 +234,12 @@ class Element(Terms):
 
     __hash__ = Terms.__hash__
 
-    def mul(self, other, box=None):
-        """The product; with an exponent tuple ``box``, only the terms
-        :func:`within` it, skipping the coefficient products of the others."""
+    def __mul__(self, other):
         if isinstance(other, Element):
             self._coerce(other)
-            return Element(self.alg, mul_terms(self.alg, self.terms, other.terms, box))
+            return Element(self.alg, mul_terms(self.alg, self.terms, other.terms))
         return self.scale(other)
 
-    __mul__ = mul
     __rmul__ = Terms.scale
 
     def degrees_present(self):

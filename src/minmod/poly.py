@@ -153,14 +153,6 @@ class MPoly(Terms):
             return MPoly.const(1)
         return MPoly({((name, exp),): ONE})
 
-    @staticmethod
-    def monomial(exps: dict, coeff=ONE) -> "MPoly":
-        coeff = _as_fraction(coeff)
-        if not coeff:
-            return MPoly()
-        key = tuple(sorted((v, e) for v, e in exps.items() if e))
-        return MPoly({key: coeff})
-
     # -- ring structure ----------------------------------------------------
 
     def __eq__(self, other):

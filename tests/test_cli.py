@@ -1,6 +1,7 @@
 """Exit codes, report schema, and replay round-trips for the CLI."""
 
 import json
+import re
 from importlib import resources
 
 import jsonschema
@@ -190,11 +191,96 @@ def _empty_witnesses_and_false_checks(doc):
     (_empty_witnesses, ["ellipticity witnesses for [], expected ['x']"]),
     (_empty_witnesses_and_false_checks, ["d_squared is True, the report says False",
                                          "minimal is True, the report says False",
-                                         "ellipticity witnesses for [], expected ['x']"]),
+                                         "ellipticity witnesses for [], expected ['x']",
+                                         "the report's fields give verdict fail, it says pass"]),
 ], ids=["no-witnesses", "false-checks"])
 def test_replay_check_recomputes_the_checks_and_needs_every_witness(capsys, tmp_path,
                                                                      tamper, reasons):
     code, out, _ = _replay_tampered(capsys, tmp_path, ("check", "cp(n=2)"), tamper)
+    assert code == FAIL
+    assert out.splitlines() == [f"replay FAIL: {r}" for r in reasons]
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog",),
+    ("check", "cp(n=2)"),
+    ("dim", "cp(n=2)"),
+    ("betti", "cp(n=2)"),
+    ("exact", "cp(n=2)", "x"),
+    ("volume", "cp(n=2)"),
+    ("spectrum", "lemma(i=0)", "--case-depth", "0"),
+    ("flex", "lower-grading"),
+    ("verify", "cp(n=2)", "{morphism}"),
+], ids=lambda argv: argv[0])
+def test_replay_rederives_the_verdict(capsys, tmp_path, argv):
+    morphism = tmp_path / "f.mor"
+    morphism.write_text("f x = 2*x\nf y = y\n")
+    argv = [a.format(morphism=morphism) for a in argv]
+    emitted_code, out, _ = run(capsys, "--json", *argv)
+    emitted = json.loads(out)["verdict"]
+    assert emitted_code == {"pass": PASS, "fail": FAIL, "inconclusive": INCONCLUSIVE}[emitted]
+    for verdict in sorted({"pass", "fail", "inconclusive"} - {emitted}):
+        code, out, _ = _replay_tampered(capsys, tmp_path, argv,
+                                        lambda doc: doc.update(verdict=verdict),
+                                        emitted=emitted_code)
+        assert code == FAIL
+        assert out == f"replay FAIL: the report's fields give verdict {emitted}, it says {verdict}\n"
+
+
+def _without_volume(doc, line):
+    doc["algebra"]["source"] = re.sub(r"^volume .*\n", line, doc["algebra"]["source"],
+                                      flags=re.M)
+
+
+def _made_up_degrees(doc):
+    for w in doc.get("witnesses", ()):
+        w["degree"] = "12345"
+    if "scaling" in doc:
+        doc["scaling"].update(degree="8", exponent=3)
+        for m in doc["multiples"]:
+            m["degree"] = "5"
+
+
+@pytest.mark.parametrize("argv,line,err", [
+    (("spectrum", "chiral3(l=5)"), "volume x1\n",
+     "volume rejected: degree 2 != formal dimension 47\n"),
+    (("spectrum", "chiral3(l=5)"), "", "the presentation declares no volume form\n"),
+    (("flex", "lower-grading"), "volume a\n",
+     "volume rejected: degree 3 != formal dimension 18\n"),
+    (("flex", "lower-grading"), "", "the presentation declares no volume form\n"),
+], ids=["spectrum-broken", "spectrum-missing", "flex-broken", "flex-missing"])
+def test_replay_reads_degrees_through_the_verified_volume(capsys, tmp_path, argv, line, err):
+    def tamper(doc):
+        _without_volume(doc, line)
+        _made_up_degrees(doc)
+
+    assert _replay_tampered(capsys, tmp_path, argv, tamper) == (FAIL, "", err)
+
+
+@pytest.mark.parametrize("argv,tamper,reasons", [
+    (("exact", "cp(n=2)", "x^5"), lambda doc: doc.update(witness=None),
+     ["exact is True, but the report gives no witness"]),
+    (("exact", "cp(n=2)", "x^5"), lambda doc: doc.update(exact=False),
+     ["exact is False, but the report gives a witness"]),
+    (("exact", "cp(n=2)", "x^5"), lambda doc: doc.update(exact=False, witness=None),
+     ["exact is True, the report says False"]),
+    (("exact", "cp(n=2)", "x^5"), lambda doc: doc.update(witness="2*y"),
+     ["exactness witness does not verify"]),
+    (("exact", "cp(n=2)", "y"), lambda doc: doc.update(exact=True, witness="x"),
+     ["the report gives an exactness witness for an element that is not closed"]),
+    (("verify", "cp(n=2)", "{morphism}"),
+     lambda doc: doc.update(valid=False, failing="y", degree=None, verdict="fail"),
+     ["valid is True, the report says False", "failing is None, the report says y",
+      "degree is 16, the report says None"]),
+], ids=["exact-without-witness", "not-exact-with-witness", "not-exact-but-exact",
+        "wrong-witness", "witness-for-non-closed", "verify-claims-invalid"])
+def test_replay_checks_exact_and_verify_claims_against_their_evidence(capsys, tmp_path, argv,
+                                                                      tamper, reasons):
+    morphism = tmp_path / "f.mor"
+    morphism.write_text("f x = 2*x\nf y = 32*y\n")
+    argv = [a.format(morphism=morphism) for a in argv]
+    emitted = FAIL if argv[-1] == "y" else PASS
+    code, out, _ = _replay_tampered(capsys, tmp_path, argv, tamper, emitted=emitted)
     assert code == FAIL
     assert out.splitlines() == [f"replay FAIL: {r}" for r in reasons]
 
@@ -245,7 +331,9 @@ def test_replay_volume_checks_degree_and_representative(capsys, tmp_path, field,
      "morphism (k = 2) degree 4398046511104 != 5"),
     (lambda doc: doc["scaling"].update(exponent=3), "scaling degree 2097152 != 2^3"),
     (lambda doc: doc["scaling"].update(base=0, exponent=-1), "scaling degree 2097152 != 0^-1"),
-], ids=["multiple-degree", "scaling-exponent", "negative-exponent"])
+    (lambda doc: [doc.pop("scaling"), doc.pop("multiples")],
+     "the lower-degree condition holds, but no scaling family is given"),
+], ids=["multiple-degree", "scaling-exponent", "negative-exponent", "no-scaling-family"])
 def test_replay_flex_checks_multiples_and_exponent(capsys, tmp_path, tamper, reason):
     code, out, _ = _replay_tampered(capsys, tmp_path, ("flex", "lower-grading"), tamper)
     assert code == FAIL and f"replay FAIL: {reason}" in out

@@ -108,6 +108,31 @@ def test_precedence_and_unary_minus():
     assert parse_element(alg, "3/2*x") == alg.gen("x").scale(Fraction(3, 2))
 
 
+def test_a_sign_binds_looser_than_power_and_tighter_than_product():
+    alg = parse_algebra("gen x : 2\ngen y : 4\n").algebra
+    x, y = alg.gen("x"), alg.gen("y")
+    assert parse_element(alg, "x*-y^2") == -(x * y ** 2)
+    assert parse_element(alg, "x - -y^2") == x + y ** 2
+    assert parse_element(alg, "+x") == x
+    assert parse_element(alg, "-(x)^2 - +y") == -(x ** 2) - y
+    with pytest.raises(ParseError) as exc:
+        parse_element(alg, "2^-1")
+    assert str(exc.value) == "exponent must be a non-negative integer, got -1 (line 1, column 2)"
+
+
+@pytest.mark.parametrize("text,morphism,line,col", [
+    ("gen x : 2\ngen y : 3\nd y = x^\n", None, 3, 9),
+    ("gen x : 2\nvolume\n", None, 2, 7),
+    ("gen x : 2\ngen y : 3\nd y = (x  # open\n", None, 3, 9),
+    ("gen x : 2\ngen y : 3\n", "f x = 2*\nf y = y\n", 1, 9),
+], ids=["power", "volume-alone", "open-parenthesis", "morphism"])
+def test_end_of_expression_names_the_column_after_the_last_token(text, morphism, line, col):
+    with pytest.raises(ParseError) as exc:
+        alg = parse_algebra(text).algebra
+        parse_morphism(alg, morphism)
+    assert str(exc.value) == f"unexpected end of expression (line {line}, column {col})"
+
+
 def test_rational_division_only_by_literals():
     af = parse_algebra("gen x : 2\n")
     with pytest.raises(ParseError):
@@ -167,7 +192,7 @@ def test_parse_errors_name_no_line_zero(text, morphism):
     with pytest.raises(ParseError) as exc:
         alg = parse_algebra(text).algebra
         parse_morphism(alg, morphism)
-    assert "line 0" not in str(exc.value)
+    assert "line 0" not in str(exc.value) and "column 0" not in str(exc.value)
 
 
 def test_whole_file_errors_carry_no_location():

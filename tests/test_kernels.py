@@ -24,7 +24,7 @@ from minmod.cohomology import (ExactnessWitness, TopFunctional, d_matrix, is_clo
                                is_exact, top_functional_from_volume)
 from minmod.endo import generic_ansatz
 from minmod.flexcert import bigraded_cohomology_basis, construct_lower_grading, scaling_images
-from minmod.gca import Element, FreeGCA, Generator, _even_fills
+from minmod.gca import Element, FreeGCA, Generator, _even_fills, mul_terms
 from minmod.linalg import Inconsistent, LinearSolver, _integer_row
 from minmod.sullivan import (SullivanAlgebra, apply_algebra_map, dimension_formula,
                              ellipticity_certificate, extend_derivation, tensor_product)
@@ -237,7 +237,8 @@ def reference_apply_algebra_map(target, images, e, box=None):
             if exp:
                 name = src.generators[i].name
                 for _ in range(exp):
-                    term = term.mul(images[name], box)
+                    term = Element(target.free, mul_terms(target.free, term.terms,
+                                                          images[name].terms, box))
         out = out + term
     return out
 
