@@ -174,10 +174,14 @@ def cmd_check(args) -> int:
     return _report(args, "check", af, lines, payload)
 
 
+class Undecided(Exception):
+    """What a command needs could not be certified either way."""
+
+
 def _certified(af: AlgebraFile):
     cert = ellipticity_certificate(af.algebra)
     if not isinstance(cert, EllipticityCertificate):
-        raise StructureError(f"ellipticity inconclusive at {cert.generator}")
+        raise Undecided(f"ellipticity inconclusive at {cert.generator}")
     return cert
 
 
@@ -502,13 +506,16 @@ def _replay_morphisms(af, doc, command) -> list:
         scaling = doc.get("scaling")
         if scaling:
             entries.append((_images(alg, scaling["morphism"]), scaling["degree"], "scaling"))
-            exponent = scaling.get("exponent")
-            # a scaling degree is a non-negative power of its base
+            base, exponent = scaling["base"], scaling.get("exponent")
+            degree = _rational(scaling["degree"])
+            # a scaling degree is a non-negative power of its base; the report
+            # sets the exponent, so a power with more bits than the degree,
+            # |base|^e >= 2^(e*(bits(base) - 1)), fails before it is computed
             if exponent is not None and (
                     exponent < 0
-                    or Fraction(scaling["base"]) ** exponent != _rational(scaling["degree"])):
-                failures.append(f"scaling degree {scaling['degree']} != "
-                                f"{scaling['base']}^{exponent}")
+                    or exponent * (abs(base).bit_length() - 1) > degree.numerator.bit_length()
+                    or Fraction(base) ** exponent != degree):
+                failures.append(f"scaling degree {scaling['degree']} != {base}^{exponent}")
         if doc["condition"] and not (scaling and doc.get("multiples")):
             failures.append("the lower-degree condition holds, but no scaling family is given")
         if doc.get("multiples"):
@@ -581,9 +588,9 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         return args.fn(args)
-    except (ParseError, StructureError) as exc:
+    except (ParseError, StructureError, Undecided) as exc:
         print(str(exc), file=sys.stderr)
-        return USAGE if isinstance(exc, ParseError) else FAIL
+        return {ParseError: USAGE, Undecided: INCONCLUSIVE}.get(type(exc), FAIL)
     except VolumeRejection as exc:
         print(f"volume rejected: {exc.reason}", file=sys.stderr)
         return FAIL

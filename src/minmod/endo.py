@@ -13,7 +13,7 @@ magnitude; a nontrivial kernel means a genuinely free family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
@@ -111,53 +111,45 @@ class Contradiction(Exception):
 
 @dataclass(frozen=True)
 class CaseContext:
-    """Assumptions u = 0 / u != 0 plus an acyclic substitution map.
+    """Assumptions u != 0 plus one substitution map: unknown -> value, with
+    ``MPoly()`` for u = 0.
 
-    Substitution values never mention zeroed or substituted unknowns, so one
-    simultaneous pass fully reduces any polynomial.
+    Values never mention an unknown that has a value, so one simultaneous
+    pass fully reduces any polynomial.
     """
 
-    zeros: frozenset = frozenset()
+    values: dict = field(default_factory=dict)
     nonzeros: frozenset = frozenset()
-    subs: tuple = ()         # ((var, MPoly), ...) in elimination order
     assumptions: tuple = ()  # human-readable trail
 
-    def _assignment(self) -> dict:
-        cached = self.__dict__.get("_assignment_cache")
-        if cached is None:
-            cached = {v: MPoly() for v in self.zeros}
-            cached.update(self.subs)
-            self.__dict__["_assignment_cache"] = cached
-        return cached
-
     def normalize(self, p: MPoly) -> MPoly:
-        return p.substitute(self._assignment())
+        return p.substitute(self.values)
+
+    def with_values(self, moves, notes) -> "CaseContext":
+        """Extend by moves ``(v, value)`` in the order made.  A value mentions
+        only unknowns moved after it, so the batch resolves in reverse order
+        and then goes once into the inherited values."""
+        batch: dict = {}
+        for v, value in reversed(moves):
+            batch[v] = value.substitute(batch)
+        values = {k: val.substitute(batch) for k, val in self.values.items()}
+        values.update((v, batch[v]) for v, _ in moves)
+        return CaseContext(values, self.nonzeros, self.assumptions + tuple(notes))
 
     def with_zero(self, v) -> "CaseContext":
         if v in self.nonzeros:
             raise Contradiction(v)
-        zero = MPoly()
-        subs = tuple((k, val.substitute({v: zero})) for k, val in self.subs)
-        return CaseContext(self.zeros | {v}, self.nonzeros, subs,
-                           self.assumptions + (f"{v} = 0",))
+        return self.with_values(((v, MPoly()),), (f"{v} = 0",))
 
     def with_nonzero(self, v) -> "CaseContext":
-        return CaseContext(self.zeros, self.nonzeros | {v}, self.subs,
+        return CaseContext(self.values, self.nonzeros | {v},
                            self.assumptions + (f"{v} != 0",))
 
-    def with_sub(self, v, value: MPoly) -> "CaseContext":
-        value = self.normalize(value)
-        subs = tuple((k, val.substitute({v: value})) for k, val in self.subs)
-        return CaseContext(self.zeros, self.nonzeros, subs + ((v, value),),
-                           self.assumptions)
-
     def evaluate(self, assignment: dict) -> dict:
-        """Extend an assignment of the surviving unknowns to the eliminated ones."""
+        """Extend an assignment of the surviving unknowns to those with a value."""
         full = dict(assignment)
-        for v in self.zeros:
-            full[v] = ZERO
-        for v, val in self.subs:
-            c = val.substitute(full).constant_value()
+        for v, val in self.values.items():
+            c = val.substitute(assignment).constant_value()
             if c is None:
                 raise StructureError(f"substitution for {v} not grounded")
             full[v] = c
@@ -184,8 +176,12 @@ def simplify(constraints, ctx: CaseContext):
     - the next move zeroes at the lowest zeroable position; only when there
       is none does it eliminate at the lowest position with a bare linear
       unknown.
+
+    The moves reach the context once, through :meth:`CaseContext.with_values`.
     """
     nonzeros = ctx.nonzeros
+    moves = []           # (unknown, value) in the order made
+    notes = []           # "v = 0" per zeroing
     live: dict = {}      # position -> cleaned constraint
     key_of: dict = {}    # position -> dedup key
     owner: dict = {}     # dedup key -> position
@@ -235,18 +231,18 @@ def simplify(constraints, ctx: CaseContext):
         if zeroable:
             v, = live[min(zeroable)].variables()
             value = MPoly()
-            ctx = ctx.with_zero(v)
+            notes.append(f"{v} = 0")
         else:
             p = drop(min(linear))
             v, c = p.bare_linear_var()
             value = p.eliminate(v, c)
-            ctx = ctx.with_sub(v, value)
+        moves.append((v, value))
         touched = sorted(index[v])
         old = [drop(i) for i in touched]
         del index[v]
         for i, p in zip(touched, old):
             place(i, p.substitute({v: value}))
-    return [live[i] for i in sorted(live)], ctx
+    return [live[i] for i in sorted(live)], ctx.with_values(moves, notes) if moves else ctx
 
 
 # -- sympy-backed factoring ------------------------------------------------
@@ -418,7 +414,6 @@ def solve_monomial_system(eqs) -> tuple:
     a constant).  Signs: the same matrix over GF(2).  Raises EnumerationCap
     when the kernel is nontrivial or the signs are too many to enumerate.
     """
-    eqs = [e for e in eqs or []]
     variables = sorted({v for eq in eqs for v, _ in eq.exps})
     rows = []
     consts = []
@@ -427,14 +422,14 @@ def solve_monomial_system(eqs) -> tuple:
             if eq.const != 1:
                 return ()
             continue
-        rows.append({v: Fraction(e) for v, e in eq.exps})
+        rows.append(dict(eq.exps))
         consts.append(eq.const)
     if not rows:  # then no equation has a variable
         return ({},)
     solver = LinearSolver()
     for row in rows:
-        solver.add_equation(dict(row), ZERO)
-    if solver.kernel_basis(variables):
+        solver.add_equation(row)
+    if solver.rank < len(variables):
         raise EnumerationCap("free multiplicative kernel")
     from sympy import factorint
 
@@ -447,7 +442,7 @@ def solve_monomial_system(eqs) -> tuple:
         psolver = LinearSolver()
         try:
             for row, c in zip(rows, consts):
-                psolver.add_equation(dict(row), Fraction(_vp(c, p)))
+                psolver.add_equation(row, _vp(c, p))
         except Inconsistent:
             return ()
         sol = psolver.particular_solution()
@@ -643,11 +638,11 @@ class _Explorer:
             work, ctx = simplify(constraints, ctx)
         except Contradiction:
             return []
-        blocking = [p for p in work
-                    if to_monomial_equation(p) is None
-                    or not set(p.variables()) <= ctx.nonzeros]
+        eqs = [to_monomial_equation(p) for p in work]
+        blocking = [p for p, eq in zip(work, eqs)
+                    if eq is None or not p.variables() <= ctx.nonzeros]
         if not blocking:
-            return [self._leaf(work, ctx)]
+            return [self._leaf(work, eqs, ctx)]
         if depth >= self.cfg.case_depth:
             return [_open_leaf(ctx, blocking, "case depth exceeded")]
         split = self._split_variable(blocking, ctx)
@@ -684,13 +679,12 @@ class _Explorer:
         for p in blocking:
             if p.as_single_monomial() is not None:
                 allowed |= p.variables()
-        assumed = ctx.zeros | ctx.nonzeros | {v for v, _ in ctx.subs}
         candidates = sorted(v for p in blocking for v in p.variables()
-                            if v in allowed and v not in assumed)
+                            if v in allowed and v not in ctx.nonzeros)
         return candidates[0] if candidates else None
 
-    def _leaf(self, work, ctx) -> CaseLeaf:
-        eqs = [to_monomial_equation(p) for p in work]
+    def _leaf(self, work, eqs, ctx) -> CaseLeaf:
+        """Close a case whose constraints are the monomial equations ``eqs``."""
         lam = volume_degree_polynomial(self.alg, self.ansatz, self.vol, ctx)
         solutions = ({},)
         if eqs:
@@ -778,26 +772,15 @@ class _Explorer:
 
     def _witness(self, ctx, fixed, family_values, label):
         """Instantiate the case at a concrete point and re-verify end to end."""
-        assignment = {}
-        assumed = ctx.zeros | {v for v, _ in ctx.subs}
-        for u in self.ansatz.unknowns():
-            if u in fixed:
-                assignment[u] = fixed[u]
-            elif u in family_values:
-                assignment[u] = family_values[u]
-            elif u in assumed:
-                continue
-            elif u in ctx.nonzeros:
-                assignment[u] = ONE
-            else:
-                assignment[u] = ZERO
+        assignment = {u: ONE if u in ctx.nonzeros else ZERO for u in self.ansatz.unknowns()}
+        assignment.update(family_values)
+        assignment.update(fixed)
         try:
             full = ctx.evaluate(assignment)
         except StructureError:
             return None
-        for v in ctx.nonzeros:
-            if not full.get(v, ZERO):
-                return None
+        if not all(full.get(v) for v in ctx.nonzeros):
+            return None
         morphism = morphism_from_assignment(self.ansatz, full, label)
         report = verify_morphism(self.alg, morphism.images, self.vol)
         if not report.valid:

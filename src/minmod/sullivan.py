@@ -197,8 +197,10 @@ class EllipticityCertificate:
     powers: dict  # name -> (N, witness Element)
 
     def replay(self) -> bool:
+        free = self.alg.free
         for name, (n, w) in self.powers.items():
-            if extend_derivation(self.alg, w) != self.alg.gen(name) ** n:
+            # x^n is one monomial; n comes from a report, so it is never multiplied out
+            if extend_derivation(self.alg, w) != free.element({free.monomial(**{name: n}): 1}):
                 return False
         return True
 

@@ -55,7 +55,9 @@ def test_criterion_2_base_family_spectrum_and_constraints():
     assert v1.classification == "Inflexible" and set(v1.spectrum) == {0, 1}
     cons = extract_constraints(af.algebra, generic_ansatz(af.algebra))
     work, ctx = simplify(cons, CaseContext())
-    closure = list(cons) + list(work) + [MPoly.var(n) - val for n, val in ctx.subs]
+    # the eliminations: every value but the zeroings
+    closure = list(cons) + list(work) + [MPoly.var(n) - val for n, val in ctx.values.items()
+                                         if f"{n} = 0" not in ctx.assumptions]
     k = {i: MPoly.var(f"k{i}") for i in range(1, 9)}
     for t in (k[3] - k[1] ** 4 * k[2] ** 2, k[4] - k[1] ** 3 * k[2] ** 3,
               k[5] - k[1] ** 2 * k[2] ** 4, k[6],

@@ -49,6 +49,26 @@ def test_check_inconclusive_on_non_elliptic(capsys, tmp_path):
     assert "inconclusive" in out
 
 
+NOT_ELLIPTIC = "gen x : 2\ngen y : 3\nvolume x*y\n"
+
+
+def test_inconclusive_ellipticity_is_inconclusive_for_every_command(capsys, tmp_path):
+    alg = tmp_path / "not-elliptic.alg"
+    alg.write_text(NOT_ELLIPTIC)
+    identity = tmp_path / "identity.mor"
+    identity.write_text("f x = x\nf y = y\n")
+    code, out, err = run(capsys, "check", str(alg))
+    assert code == INCONCLUSIVE and not err
+    assert "ellipticity: inconclusive at x (bound 3)" in out.splitlines()
+    for argv in (("dim",), ("volume",), ("spectrum",), ("flex",), ("verify", str(identity))):
+        code, out, err = run(capsys, argv[0], str(alg), *argv[1:])
+        assert (code, out, err) == (INCONCLUSIVE, "", "ellipticity inconclusive at x\n"), argv
+    # replay reaches the volume form the way the commands do
+    code, out, err = _replay_tampered(capsys, tmp_path, ("spectrum", "cp(n=2)"),
+                                      lambda doc: doc["algebra"].update(source=NOT_ELLIPTIC))
+    assert (code, out, err) == (INCONCLUSIVE, "", "ellipticity inconclusive at x\n")
+
+
 def test_dim(capsys):
     code, out, _ = run(capsys, "dim", "lemma(i=0)")
     assert code == PASS and out.strip() == "231"
@@ -337,6 +357,17 @@ def test_replay_volume_checks_degree_and_representative(capsys, tmp_path, field,
 def test_replay_flex_checks_multiples_and_exponent(capsys, tmp_path, tamper, reason):
     code, out, _ = _replay_tampered(capsys, tmp_path, ("flex", "lower-grading"), tamper)
     assert code == FAIL and f"replay FAIL: {reason}" in out
+
+
+def test_replay_never_computes_a_power_the_report_sets(capsys, tmp_path):
+    # exponents this large finish only if the power is never multiplied out
+    code, out, _ = _replay_tampered(
+        capsys, tmp_path, ("check", "cp(n=2)"),
+        lambda doc: doc["certificates"]["ellipticity"][0].update(exponent=10 ** 9))
+    assert (code, out) == (FAIL, "replay FAIL: ellipticity witnesses do not verify\n")
+    code, out, _ = _replay_tampered(capsys, tmp_path, ("flex", "lower-grading"),
+                                    lambda doc: doc["scaling"].update(exponent=10 ** 12))
+    assert (code, out) == (FAIL, "replay FAIL: scaling degree 2097152 != 2^1000000000000\n")
 
 
 def test_replay_flex_needs_a_level_for_every_generator(capsys, tmp_path):

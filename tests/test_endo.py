@@ -48,7 +48,8 @@ def test_extracted_constraints_contain_paper_relations():
     # are substituted into the top-generator rows
     work, ctx = simplify(cons, CaseContext())
     closure = list(cons) + list(work) + [
-        MPoly.var(v) - val for v, val in ctx.subs]
+        MPoly.var(v) - val for v, val in ctx.values.items()
+        if f"{v} = 0" not in ctx.assumptions]
     for t in [
         k[1] ** 8 * k[2] ** 8 - k[1] ** 18 * k[2],
         k[1] ** 18 * k[2] - k[2] ** 13,
@@ -78,11 +79,12 @@ def test_chiral3_constraint_eq6():
 def test_simplify_eliminates_and_contradicts():
     k1, k2, k3 = MPoly.var("k1"), MPoly.var("k2"), MPoly.var("k3")
     work, ctx = simplify([k3 - k1 ** 4 * k2 ** 2], CaseContext())
-    assert work == [] and dict(ctx.subs)["k3"] == k1 ** 4 * k2 ** 2
+    assert work == [] and ctx.values == {"k3": k1 ** 4 * k2 ** 2}
+    assert ctx.assumptions == ()
     # known-nonzero content division
     ctx0 = CaseContext(nonzeros=frozenset({"k1", "k2"}))
     work, ctx = simplify([k1 ** 4 * k2 * k3], ctx0)
-    assert work == [] and "k3" in ctx.zeros
+    assert work == [] and ctx.values == {"k3": MPoly()} and ctx.assumptions == ("k3 = 0",)
     with pytest.raises(Contradiction):
         simplify([k1 ** 2], CaseContext(nonzeros=frozenset({"k1"})))
 
@@ -149,7 +151,7 @@ def test_sign_cap_leaves_the_case_unresolved():
     explorer = _Explorer(af.algebra, generic_ansatz(af.algebra), vol, SolverConfig())
     work = _unit_squares(13)
     ctx = CaseContext(nonzeros=frozenset(f"s{i}" for i in range(1, 14)))
-    leaf = explorer._leaf(work, ctx)
+    leaf = explorer._leaf(work, [to_monomial_equation(p) for p in work], ctx)
     assert not leaf.resolved and not leaf.degrees
     assert leaf.residual[-1] == "sign-enumeration cap"
 
@@ -161,7 +163,7 @@ def test_open_leaves_name_why_the_degree_was_not_read_off():
     explorer = _Explorer(af.algebra, generic_ansatz(af.algebra), vol, SolverConfig())
     leaf = explorer._residual_leaf([], CaseContext())
     assert not leaf.resolved and leaf.residual == ("degree not constant on the case",)
-    leaf = explorer._leaf([], CaseContext())
+    leaf = explorer._leaf([], [], CaseContext())
     assert not leaf.resolved
     assert leaf.residual == ("k1*k3*k5*k6 - k2*k4*k5*k6", "witness did not verify")
 
@@ -177,7 +179,7 @@ def test_leaf_reason_tells_a_failed_witness_from_an_unsupported_degree(monkeypat
         return w
 
     monkeypatch.setattr(explorer, "_witness", recording_witness)
-    leaf = explorer._leaf([], CaseContext())
+    leaf = explorer._leaf([], [], CaseContext())
     assert leaf.residual[-1] == "witness did not verify"
     # the probe k1 - 1 was found; its sample k1 = 2 is not a morphism
     k = {f"k{i}": ONE for i in range(2, 7)}

@@ -188,8 +188,9 @@ def test_basis_counts_match_series_oracle():
             assert len(alg.basis_of_degree(n)) == coeff.get(n, 0), (key, n)
 
 
-def _restart_simplify(constraints, ctx):
-    """Reference: the simplify that re-scanned every constraint after each move."""
+def _restart_simplify(constraints, ctx, moves):
+    """Reference: the simplify that re-scanned every constraint after each move
+    and handed each move to the context on its own; ``moves`` records them."""
     work = [ctx.normalize(p) for p in constraints]
     pending: dict = {}
     changed = True
@@ -221,6 +222,7 @@ def _restart_simplify(constraints, ctx):
             if len(free) == 1:
                 ctx = ctx.with_zero(free[0])
                 pending[free[0]] = MPoly()
+                moves.append((free[0], MPoly()))
                 changed = True
                 break
         if changed:
@@ -229,8 +231,9 @@ def _restart_simplify(constraints, ctx):
             bl = p.bare_linear_var()
             if bl is not None:
                 value = p.eliminate(*bl)
-                ctx = ctx.with_sub(bl[0], value)
+                ctx = ctx.with_values(((bl[0], value),), ())
                 pending[bl[0]] = value
+                moves.append((bl[0], value))
                 work.remove(p)
                 changed = True
                 break
@@ -263,20 +266,32 @@ def constraint_system(draw):
     return polys, CaseContext(nonzeros=nonzeros)
 
 
+def _fields(ctx):
+    # dataclass == compares the values dict without its order
+    return list(ctx.values.items()), ctx.nonzeros, ctx.assumptions
+
+
 def _outcome(fn, polys, ctx):
     try:
-        return fn(list(polys), ctx)
+        work, ctx = fn(list(polys), ctx)
     except Contradiction:
         return "contradiction"
+    return work, _fields(ctx)
 
 
 @settings(**dict(SETTINGS, max_examples=400))
 @given(constraint_system())
 def test_worklist_simplify_matches_restart_loop(system):
-    # the same work list in the same order and an equal CaseContext
-    # (zeros, nonzeros, substitutions in order, assumptions), or both refuse
+    # the same work list in the same order and the same CaseContext (values
+    # in move order, nonzeros, assumptions), or both refuse
     polys, ctx = system
-    assert _outcome(simplify, polys, ctx) == _outcome(_restart_simplify, polys, ctx)
+    moves = []
+    want = _outcome(lambda p, c: _restart_simplify(p, c, moves), polys, ctx)
+    assert _outcome(simplify, polys, ctx) == want
+    if want != "contradiction":
+        # one batched with_values equals the same moves applied one at a time
+        notes = [f"{v} = 0" for v, value in moves if not value]
+        assert _fields(ctx.with_values(moves, notes)) == want[1]
 
 
 def test_root_simplify_of_chiral3_square_is_pinned():
@@ -285,9 +300,12 @@ def test_root_simplify_of_chiral3_square_is_pinned():
     prod = tensor_product(a.algebra, a.algebra, cert, cert, a.volume, a.volume)
     cons = extract_constraints(prod, generic_ansatz(prod))
     work, ctx = simplify(cons, CaseContext())
-    assert (len(cons), len(work), len(ctx.zeros), len(ctx.subs)) == (370, 50, 150, 12)
-    assert [v for v, _ in ctx.subs] == ["k9", "k8", "k11", "k10", "k41", "k40",
-                                        "k93", "k94", "k95", "k99", "k125", "k130"]
+    zeros = [note[:-len(" = 0")] for note in ctx.assumptions if note.endswith(" = 0")]
+    eliminated = [v for v in ctx.values if v not in zeros]
+    assert (len(cons), len(work), len(zeros), len(eliminated)) == (370, 50, 150, 12)
+    assert set(zeros) <= set(ctx.values)
+    assert eliminated == ["k9", "k8", "k11", "k10", "k41", "k40",
+                          "k93", "k94", "k95", "k99", "k125", "k130"]
 
 
 def _incremental_to_sympy(p):
