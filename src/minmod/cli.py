@@ -21,7 +21,7 @@ from importlib import resources
 
 from . import catalog
 from .cohomology import (ExactnessWitness, TopFunctional, VolumeRejection, betti_table,
-                         is_closed, is_exact, verify_volume_form)
+                         check_volume_representative, is_closed, is_exact, verify_volume_form)
 from .dsl import (AlgebraFile, ParseError, element_str, parse_algebra, parse_element,
                   parse_morphism, print_algebra)
 from .endo import SolverConfig, degree_spectrum, verify_morphism
@@ -30,8 +30,7 @@ from .flexcert import (LowerGrading, check_prop4_condition, construct_lower_grad
                        scaling_certificate, scaling_images, two_stage_decomposition)
 from .gca import StructureError
 from .sullivan import (EllipticityCertificate, check_d_squared, check_minimality,
-                       dimension_formula, ellipticity_certificate, extend_derivation,
-                       formal_dimension)
+                       dimension_formula, ellipticity_certificate, formal_dimension)
 
 SCHEMA_NAME = "report.schema.json"
 SCHEMA_ID = "minmod-report/1"
@@ -121,7 +120,7 @@ def _report(args, command, af, lines, payload) -> int:
             "verdict": verdict,
         }
         if af is not None:
-            doc["algebra"] = {"name": af.name, "source": print_algebra(af)}
+            doc["algebra"] = {"name": af.algebra.name, "source": print_algebra(af)}
         doc.update(payload)
         validate_report(doc)
         print(json.dumps(doc, indent=2))
@@ -382,7 +381,7 @@ def _replay_checks(doc, command) -> list:
     if command == "check":
         return _replay_check(alg, doc)
     if command == "dim":
-        return [] if dimension_formula(alg) == doc["dimension"] else ["dimension"]
+        return [] if formal_dimension(alg, _certified(af)) == doc["dimension"] else ["dimension"]
     if command == "betti":
         return [] if betti_table(alg, doc["max_degree"]) == doc["betti"] else ["betti table"]
     if command == "exact":
@@ -458,18 +457,17 @@ def _replay_volume(af, doc) -> list:
             return [f"volume rejected for {exc.reason!r}, the report says {doc['rejected']!r}"]
         return [f"volume form verifies, the report says rejected for {doc['rejected']!r}"]
     alg = af.algebra
-    top = dimension_formula(alg)
+    rep = parse_element(alg, doc["representative"])
+    try:
+        top = check_volume_representative(alg, rep, _certified(af))
+    except VolumeRejection as exc:
+        return [exc.reason]
     phi = {}
     for entry in doc["functional"]:
         phi[_functional_monomial(alg, entry["monomial"])] = _rational(entry["value"])
     failures = []
     if doc["degree"] != top:
         failures.append(f"degree {doc['degree']} != formal dimension {top}")
-    rep = parse_element(alg, doc["representative"])
-    if rep.degrees_present() != [top]:
-        failures.append(f"representative is not a nonzero homogeneous element of degree {top}")
-    if extend_derivation(alg, rep):
-        failures.append("representative is not closed")
     if any(alg.free.monomial_degree(m) != top for m in phi):
         failures.append(f"functional has a monomial outside degree {top}")
     functional = TopFunctional(alg, phi)

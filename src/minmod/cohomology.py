@@ -245,13 +245,10 @@ class VolumeForm:
         return self.functional.apply(f_vol)
 
 
-def verify_volume_form(alg: SullivanAlgebra, e: Element, cert) -> VolumeForm:
-    """Accept a closed, non-exact representative of the top degree.
-
-    Raises :class:`VolumeRejection` carrying the failed condition.  The
-    returned VolumeForm carries the separating functional used to certify
-    non-exactness (and later to read off mapping degrees).
-    """
+def check_volume_representative(alg: SullivanAlgebra, e: Element, cert) -> int:
+    """The formal dimension, once ``e`` is a nonzero closed homogeneous element
+    of it in an elliptic algebra with d^2 = 0; else :class:`VolumeRejection`
+    carrying the failed condition.  Non-exactness is left to the caller."""
     if not isinstance(cert, EllipticityCertificate):
         raise VolumeRejection("no ellipticity certificate: formal dimension undefined")
     if not check_d_squared(alg):
@@ -265,6 +262,17 @@ def verify_volume_form(alg: SullivanAlgebra, e: Element, cert) -> VolumeForm:
         raise VolumeRejection(f"degree {e.degree()} != formal dimension {top}")
     if extend_derivation(alg, e):
         raise VolumeRejection("not closed")
+    return top
+
+
+def verify_volume_form(alg: SullivanAlgebra, e: Element, cert) -> VolumeForm:
+    """Accept a closed, non-exact representative of the top degree.
+
+    Raises :class:`VolumeRejection` carrying the failed condition.  The
+    returned VolumeForm carries the separating functional used to certify
+    non-exactness (and later to read off mapping degrees).
+    """
+    top = check_volume_representative(alg, e, cert)
     if isinstance(alg, TensorProduct):
         functional = _product_functional(alg, e)
     else:

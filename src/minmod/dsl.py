@@ -19,7 +19,7 @@ stay readable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .gca import Element, FreeGCA, Generator, StructureError
@@ -165,12 +165,10 @@ class _ExprParser:
 
 @dataclass
 class AlgebraFile:
-    """A parsed presentation: generators, optional volume, and the algebra."""
+    """A parsed presentation: the algebra, named, and its optional volume."""
 
-    name: str
-    generators: list          # [Generator]
+    algebra: SullivanAlgebra
     volume: Element | None
-    algebra: SullivanAlgebra = field(repr=False)
 
 
 def _once(repeated: bool, statement: str, head: Token):
@@ -250,7 +248,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
         alg = SullivanAlgebra(free, diff, name=name)
     except StructureError as exc:
         raise ParseError(str(exc)) from exc
-    return AlgebraFile(name, list(free.generators), volume, alg)
+    return AlgebraFile(alg, volume)
 
 
 def parse_element(alg: SullivanAlgebra, text: str) -> Element:
@@ -293,12 +291,9 @@ element_str = Element.__str__
 
 def print_algebra(af: AlgebraFile) -> str:
     """Render a presentation back to DSL text (params already substituted)."""
-    lines = []
-    for g in af.generators:
-        lines.append(f"gen {g.name} : {g.degree}")
-    for g, d in zip(af.generators, af.algebra.diff):
-        if d:
-            lines.append(f"d {g.name} = {element_str(d)}")
+    alg = af.algebra
+    lines = [f"gen {g.name} : {g.degree}" for g in alg.generators]
+    lines += [f"d {g.name} = {element_str(d)}" for g, d in zip(alg.generators, alg.diff) if d]
     if af.volume is not None:
         lines.append(f"volume {element_str(af.volume)}")
     return "\n".join(lines) + "\n"

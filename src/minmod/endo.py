@@ -5,21 +5,21 @@ constraints from commutation with the differential, simplification by linear
 substitution plus case splitting, a multiplicative solver for the surviving
 monomial equations, and classification of the achievable mapping degrees.
 
-The multiplicative solver treats unknowns as nonzero rationals: magnitudes
-through p-adic valuations (one exact linear solve per relevant prime), signs
-over GF(2).  A trivial kernel of the exponent matrix therefore forces every
-magnitude; a nontrivial kernel means a genuinely free family.
+The multiplicative solver treats unknowns as nonzero rationals: a sign bit
+and one p-adic valuation per relevant prime, all solved through one Smith
+decomposition of the exponent matrix.  A trivial kernel therefore forces
+every magnitude; a nontrivial kernel means a genuinely free family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 from .cohomology import VolumeForm
 from .gca import Element, StructureError, within
-from .linalg import Inconsistent, LinearSolver
 from .poly import MPoly, add_terms, render_terms
 from .sullivan import SullivanAlgebra, apply_algebra_map, extend_derivation
 
@@ -341,58 +341,6 @@ class EnumerationCap(Exception):
     """Too many solutions to enumerate; the case must stay unresolved."""
 
 
-def _gf2_enumerate(rows, rhs, variables):
-    """All sign vectors (dicts var -> +-1) solving the GF(2) system.
-
-    None when the system is inconsistent; EnumerationCap when more than
-    SIGN_BITS_CAP sign bits are free.
-    """
-    n = len(variables)
-    index = {v: i for i, v in enumerate(variables)}
-    masks = []
-    bits = []
-    for row, b in zip(rows, rhs):
-        mask = 0
-        for v, e in row.items():
-            if e % 2:
-                mask |= 1 << index[v]
-        masks.append(mask)
-        bits.append(b)
-    # Gaussian elimination on bitmasks
-    pivots = {}
-    for mask, b in zip(masks, bits):
-        for pc in sorted(pivots, reverse=True):
-            if mask >> pc & 1:
-                pmask, pb = pivots[pc]
-                mask ^= pmask
-                b ^= pb
-        if mask == 0:
-            if b:
-                return None
-            continue
-        pivots[mask.bit_length() - 1] = (mask, b)
-    free = [j for j in range(n) if j not in pivots]
-    if len(free) > SIGN_BITS_CAP:
-        raise EnumerationCap("sign-enumeration cap")
-    out = []
-    for sel in range(1 << len(free)):
-        vec = 0
-        for t, j in enumerate(free):
-            if sel >> t & 1:
-                vec |= 1 << j
-        # pivot rows only involve strictly lower columns besides their pivot,
-        # so ascending order finalizes dependencies first
-        for pc in sorted(pivots):
-            pmask, pb = pivots[pc]
-            acc = pb
-            rest = pmask & ~(1 << pc)
-            acc ^= bin(rest & vec).count("1") % 2
-            if acc:
-                vec |= 1 << pc
-        out.append({v: (-1 if vec >> index[v] & 1 else 1) for v in variables})
-    return out
-
-
 def _vp(q: Fraction, p: int) -> int:
     v = 0
     n = q.numerator
@@ -409,54 +357,57 @@ def _vp(q: Fraction, p: int) -> int:
 def solve_monomial_system(eqs) -> tuple:
     """The exact solution set over the nonzero rationals: dicts var -> Fraction.
 
-    Magnitudes: the exponent matrix acts on valuation vectors; a trivial
-    rational kernel pins every magnitude (one linear solve per prime dividing
-    a constant).  Signs: the same matrix over GF(2).  Raises EnumerationCap
-    when the kernel is nontrivial or the signs are too many to enumerate.
+    A nonzero rational is a sign bit and one valuation per prime, and each
+    coordinate turns the system into A x = b for the integer exponent matrix
+    A.  One Smith decomposition S = U A V (Cohen, §2.4) solves them all: U b
+    must vanish past the rank and be divisible by each diagonal entry d_i;
+    then y_i = (U b)_i / d_i and x = V y.  Modulo 2 an even d_i only asks for
+    an even (U b)_i and leaves the sign of y_i free.  U and V may have large
+    entries, so only sign and valuation vectors meet them, never a constant.
+    Raises EnumerationCap when A has a kernel or there are too many free signs.
     """
-    variables = sorted({v for eq in eqs for v, _ in eq.exps})
-    rows = []
-    consts = []
-    for eq in eqs:
-        if not eq.exps:
-            if eq.const != 1:
-                return ()
-            continue
-        rows.append(dict(eq.exps))
-        consts.append(eq.const)
-    if not rows:  # then no equation has a variable
-        return ({},)
-    solver = LinearSolver()
-    for row in rows:
-        solver.add_equation(row)
-    if solver.rank < len(variables):
-        raise EnumerationCap("free multiplicative kernel")
-    from sympy import factorint
-
-    primes = set()
-    for c in consts:  # signs are the GF(2) step's: factor magnitudes only
-        primes |= set(factorint(abs(c.numerator)))
-        primes |= set(factorint(c.denominator))
-    magnitudes = {v: ONE for v in variables}
-    for p in primes:
-        psolver = LinearSolver()
-        try:
-            for row, c in zip(rows, consts):
-                psolver.add_equation(row, _vp(c, p))
-        except Inconsistent:
-            return ()
-        sol = psolver.particular_solution()
-        for v, e in sol.items():
-            if e.denominator != 1:
-                return ()
-            magnitudes[v] *= Fraction(p) ** int(e)
-    signs = _gf2_enumerate(rows, [1 if c < 0 else 0 for c in consts], variables)
-    if signs is None:
+    if any(eq.const != 1 for eq in eqs if not eq.exps):
         return ()
+    eqs = [eq for eq in eqs if eq.exps]
+    if not eqs:
+        return ({},)
+    from sympy import Matrix, factorint
+    from sympy.matrices.normalforms import smith_normal_decomp
+
+    variables = sorted({v for eq in eqs for v, _ in eq.exps})
+    m, n = len(eqs), len(variables)
+    S, U, V = smith_normal_decomp(Matrix([[dict(eq.exps).get(v, 0) for v in variables]
+                                          for eq in eqs]))
+    d = [int(S[i, i]) for i in range(min(m, n))]
+    if m < n or 0 in d:
+        raise EnumerationCap("free multiplicative kernel")
+    U, V = ([list(map(int, row)) for row in M.tolist()] for M in (U, V))
+
+    def times(M, b):
+        return [sum(t * x for t, x in zip(row, b)) for row in M]
+
+    consts = [eq.const for eq in eqs]
+    primes = {p for c in consts for p in (*factorint(abs(c.numerator)), *factorint(c.denominator))}
+    magnitudes = [ONE] * n
+    for p in primes:
+        ub = times(U, [_vp(c, p) for c in consts])
+        if any(ub[n:]) or any(x % di for x, di in zip(ub, d)):
+            return ()
+        for j, e in enumerate(times(V, [x // di for x, di in zip(ub, d)])):
+            magnitudes[j] *= Fraction(p) ** e
+    ub = times(U, [int(c < 0) for c in consts])
+    free = [i for i, di in enumerate(d) if di % 2 == 0]
+    if any(x % 2 for x in ub[n:] + [ub[i] for i in free]):
+        return ()
+    if len(free) > SIGN_BITS_CAP:
+        raise EnumerationCap("sign-enumeration cap")
     sols = []
-    for sv in signs:
-        cand = {v: sv[v] * magnitudes[v] for v in variables}
-        if all(eq.holds(cand) for eq in eqs if eq.exps):
+    for bits in product((0, 1), repeat=len(free)):
+        y = [x % 2 for x in ub[:n]]
+        for i, bit in zip(free, bits):
+            y[i] = bit
+        cand = {v: -mag if s % 2 else mag for v, mag, s in zip(variables, magnitudes, times(V, y))}
+        if all(eq.holds(cand) for eq in eqs):
             sols.append(cand)
     return tuple(sols)
 

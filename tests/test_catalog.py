@@ -18,16 +18,16 @@ def test_all_entries_pass_structural_checks():
 
 def test_lemma_shape():
     af = catalog.build("lemma", i=0)
-    assert [g.degree for g in af.generators] == [4, 6, 27, 29, 31, 77, 75]
+    assert [g.degree for g in af.algebra.generators] == [4, 6, 27, 29, 31, 77, 75]
     assert dimension_formula(af.algebra) == 231
     af = catalog.build("lemma", i=3)
-    assert af.generators[-1].degree == 75 + 12
+    assert af.algebra.generators[-1].degree == 75 + 12
     assert dimension_formula(af.algebra) == 231 + 12
 
 
 def test_chiral_shapes():
     af = catalog.build("chiral1", l1=4, l2=2)
-    assert [g.degree for g in af.generators] == [2, 4, 11, 11, 17, 19]
+    assert [g.degree for g in af.algebra.generators] == [2, 4, 11, 11, 17, 19]
     assert dimension_formula(af.algebra) == 54
     assert dimension_formula(catalog.build("chiral2", l=4).algebra) == 73
     assert dimension_formula(catalog.build("chiral3", l=5).algebra) == 47
@@ -35,7 +35,7 @@ def test_chiral_shapes():
 
 def test_cp_and_sphere():
     af = catalog.build("cp", n=4)
-    assert [g.degree for g in af.generators] == [2, 17]
+    assert [g.degree for g in af.algebra.generators] == [2, 17]
     assert dimension_formula(af.algebra) == 16
     af = catalog.build("sphere", k=6)
     assert dimension_formula(af.algebra) == 6

@@ -63,10 +63,11 @@ def test_inconclusive_ellipticity_is_inconclusive_for_every_command(capsys, tmp_
     for argv in (("dim",), ("volume",), ("spectrum",), ("flex",), ("verify", str(identity))):
         code, out, err = run(capsys, argv[0], str(alg), *argv[1:])
         assert (code, out, err) == (INCONCLUSIVE, "", "ellipticity inconclusive at x\n"), argv
-    # replay reaches the volume form the way the commands do
-    code, out, err = _replay_tampered(capsys, tmp_path, ("spectrum", "cp(n=2)"),
-                                      lambda doc: doc["algebra"].update(source=NOT_ELLIPTIC))
-    assert (code, out, err) == (INCONCLUSIVE, "", "ellipticity inconclusive at x\n")
+    # replay reaches the formal dimension and the volume form the way the commands do
+    for command in ("dim", "spectrum"):
+        code, out, err = _replay_tampered(capsys, tmp_path, (command, "cp(n=2)"),
+                                          lambda doc: doc["algebra"].update(source=NOT_ELLIPTIC))
+        assert (code, out, err) == (INCONCLUSIVE, "", "ellipticity inconclusive at x\n"), command
 
 
 def test_dim(capsys):
@@ -338,12 +339,39 @@ def _replay_tampered_volume(capsys, tmp_path, tamper):
 @pytest.mark.parametrize("field,value,reason", [
     ("degree", 7, "degree 7 != formal dimension 47"),
     # phi(x2^7*n2) = 1, but d(x2^7*n2) = x2^12
-    ("representative", "x2^7*n2", "representative is not closed"),
+    ("representative", "x2^7*n2", "not closed"),
 ], ids=["degree", "representative"])
 def test_replay_volume_checks_degree_and_representative(capsys, tmp_path, field, value, reason):
     code, out, _ = _replay_tampered_volume(capsys, tmp_path,
                                            lambda doc: doc.update({field: value}))
     assert code == FAIL and f"replay FAIL: {reason}" in out
+
+
+# d^2 z = d(x*y*u) = x^3*u, and x*u*z is closed, of the formal dimension 12 and
+# not in the image of d, so only the d^2 check rejects it
+NOT_A_COMPLEX = "gen x : 2\ngen y : 3\ngen u : 3\ngen z : 7\nd y = x^2\nd z = x*y*u\n"
+
+
+NOT_ELLIPTIC_VOLUME = (INCONCLUSIVE, "", "ellipticity inconclusive at x\n")
+
+
+@pytest.mark.parametrize("source,representative,degree,emitted,replayed", [
+    ("gen x : 2\ngen y : 3\n", "x", 2, NOT_ELLIPTIC_VOLUME, NOT_ELLIPTIC_VOLUME),
+    (NOT_A_COMPLEX, "x*u*z", 12, (FAIL, "rejected: d^2 != 0\n", ""),
+     (FAIL, "replay FAIL: d^2 != 0\n", "")),
+], ids=["not-elliptic", "d-squared"])
+def test_replay_volume_checks_the_algebra_as_volume_does(capsys, tmp_path, source,
+                                                         representative, degree, emitted,
+                                                         replayed):
+    alg = tmp_path / "source.alg"
+    alg.write_text(source + f"volume {representative}\n")
+    assert run(capsys, "volume", str(alg)) == emitted
+
+    def tamper(doc):
+        doc["algebra"]["source"] = source
+        doc.update(degree=degree, representative=representative,
+                   functional=[{"monomial": representative, "value": "1"}])
+    assert _replay_tampered(capsys, tmp_path, ("volume", "cp(n=2)"), tamper) == replayed
 
 
 @pytest.mark.parametrize("tamper,reason", [

@@ -27,7 +27,7 @@ volume x2^26*z' - x1^15*x2^24*y1
 
 def test_parse_full_presentation():
     af = parse_algebra(A0_TEXT, name="a0")
-    assert [g.degree for g in af.generators] == [4, 6, 27, 29, 31, 77, 75]
+    assert [g.degree for g in af.algebra.generators] == [4, 6, 27, 29, 31, 77, 75]
     assert len(af.algebra.d_gen("z").terms) == 5
     assert af.volume is not None and af.volume.degree() == 231
 
@@ -41,7 +41,7 @@ def test_parse_single_monomial_coefficient():
 def test_params_in_degrees_and_exponents():
     text = "param i = 2\ngen x : 4\ngen z' : 75 + 4*i\nd z' = x^(19 + i)\n"
     af = parse_algebra(text)
-    assert af.generators[1].degree == 83
+    assert af.algebra.generators[1].degree == 83
     assert af.algebra.d_gen("z'") == af.algebra.gen("x") ** 21
 
 
@@ -143,8 +143,8 @@ def test_round_trip():
     af = parse_algebra(A0_TEXT, name="a0")
     text = print_algebra(af)
     af2 = parse_algebra(text, name="a0")
-    assert [g.name for g in af2.generators] == [g.name for g in af.generators]
-    for g in af.generators:
+    assert [g.name for g in af2.algebra.generators] == [g.name for g in af.algebra.generators]
+    for g in af.algebra.generators:
         assert af2.algebra.d_gen(g.name).terms == {
             m: c for m, c in af.algebra.d_gen(g.name).terms.items()}
     assert element_str(af2.volume) == element_str(af.volume)
@@ -211,4 +211,4 @@ def test_morphism_zero_image():
 
 def test_comments_and_blank_lines():
     af = parse_algebra("# header\n\ngen x : 2  # trailing\n")
-    assert len(af.generators) == 1
+    assert len(af.algebra.generators) == 1

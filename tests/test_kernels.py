@@ -10,19 +10,21 @@ rows with an index of the rows each variable occurs in,
 ``apply_algebra_map`` as a sum of
 Element products, and ``is_exact``, ``top_functional_from_volume`` and
 ``TopFunctional.replay_annihilates_d`` on the full matrix of d in one
-degree.
+degree; ``solve_monomial_system`` is a rank check, one ``LinearSolver``
+solve per prime of the constants and a GF(2) eliminator for the signs.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from conftest import ALL_KEYS, built, certified
 from minmod.cohomology import (ExactnessWitness, TopFunctional, d_matrix, is_closed,
                                is_exact, top_functional_from_volume)
-from minmod.endo import generic_ansatz
+from minmod.endo import (SIGN_BITS_CAP, EnumerationCap, MonomialEquation, _vp, generic_ansatz,
+                         solve_monomial_system)
 from minmod.flexcert import bigraded_cohomology_basis, construct_lower_grading, scaling_images
 from minmod.gca import Element, FreeGCA, Generator, _even_fills, mul_terms
 from minmod.linalg import Inconsistent, LinearSolver, _integer_row
@@ -226,6 +228,108 @@ class ReferenceIntegerGaussJordan:
                     vec[pv] = Fraction(-c, prow[pv])
             basis.append(vec)
         return basis
+
+
+def _reference_gf2_enumerate(rows, rhs, variables):
+    """All sign vectors (dicts var -> +-1) solving the GF(2) system.
+
+    None when the system is inconsistent; EnumerationCap when more than
+    SIGN_BITS_CAP sign bits are free.
+    """
+    n = len(variables)
+    index = {v: i for i, v in enumerate(variables)}
+    masks = []
+    bits = []
+    for row, b in zip(rows, rhs):
+        mask = 0
+        for v, e in row.items():
+            if e % 2:
+                mask |= 1 << index[v]
+        masks.append(mask)
+        bits.append(b)
+    # Gaussian elimination on bitmasks
+    pivots = {}
+    for mask, b in zip(masks, bits):
+        for pc in sorted(pivots, reverse=True):
+            if mask >> pc & 1:
+                pmask, pb = pivots[pc]
+                mask ^= pmask
+                b ^= pb
+        if mask == 0:
+            if b:
+                return None
+            continue
+        pivots[mask.bit_length() - 1] = (mask, b)
+    free = [j for j in range(n) if j not in pivots]
+    if len(free) > SIGN_BITS_CAP:
+        raise EnumerationCap("sign-enumeration cap")
+    out = []
+    for sel in range(1 << len(free)):
+        vec = 0
+        for t, j in enumerate(free):
+            if sel >> t & 1:
+                vec |= 1 << j
+        # pivot rows only involve strictly lower columns besides their pivot,
+        # so ascending order finalizes dependencies first
+        for pc in sorted(pivots):
+            pmask, pb = pivots[pc]
+            acc = pb
+            rest = pmask & ~(1 << pc)
+            acc ^= bin(rest & vec).count("1") % 2
+            if acc:
+                vec |= 1 << pc
+        out.append({v: (-1 if vec >> index[v] & 1 else 1) for v in variables})
+    return out
+
+
+def reference_solve_monomial_system(eqs) -> tuple:
+    """Magnitudes by one LinearSolver solve per prime after a rank check,
+    signs by Gaussian elimination over GF(2)."""
+    from sympy import factorint
+
+    variables = sorted({v for eq in eqs for v, _ in eq.exps})
+    rows = []
+    consts = []
+    for eq in eqs:
+        if not eq.exps:
+            if eq.const != 1:
+                return ()
+            continue
+        rows.append(dict(eq.exps))
+        consts.append(eq.const)
+    if not rows:  # then no equation has a variable
+        return ({},)
+    solver = LinearSolver()
+    for row in rows:
+        solver.add_equation(row)
+    if solver.rank < len(variables):
+        raise EnumerationCap("free multiplicative kernel")
+    primes = set()
+    for c in consts:  # signs are the GF(2) step's: factor magnitudes only
+        primes |= set(factorint(abs(c.numerator)))
+        primes |= set(factorint(c.denominator))
+    magnitudes = {v: ONE for v in variables}
+    for p in primes:
+        psolver = LinearSolver()
+        try:
+            for row, c in zip(rows, consts):
+                psolver.add_equation(row, _vp(c, p))
+        except Inconsistent:
+            return ()
+        sol = psolver.particular_solution()
+        for v, e in sol.items():
+            if e.denominator != 1:
+                return ()
+            magnitudes[v] *= Fraction(p) ** int(e)
+    signs = _reference_gf2_enumerate(rows, [1 if c < 0 else 0 for c in consts], variables)
+    if signs is None:
+        return ()
+    sols = []
+    for sv in signs:
+        cand = {v: sv[v] * magnitudes[v] for v in variables}
+        if all(eq.holds(cand) for eq in eqs if eq.exps):
+            sols.append(cand)
+    return tuple(sols)
 
 
 def reference_apply_algebra_map(target, images, e, box=None):
@@ -554,6 +658,76 @@ def test_linear_solver_matches_fraction_reference(kind, homogeneous):
 @pytest.mark.parametrize("homogeneous", [True, False], ids=["homogeneous", "inhomogeneous"])
 def test_linear_solver_matches_integer_gauss_jordan_reference(kind, homogeneous):
     _matches_reference(ReferenceIntegerGaussJordan, kind, homogeneous)
+
+
+def _monomial_outcome(solve, eqs):
+    """The solution set, or the EnumerationCap reason."""
+    try:
+        sols = solve(eqs)
+    except EnumerationCap as cap:
+        return str(cap)
+    keys = [tuple(sorted(s.items())) for s in sols]
+    assert len(set(keys)) == len(keys)
+    return set(keys)
+
+
+def _random_monomial_system(rng):
+    """Equations true at a random nonzero rational point, some of them then
+    broken: exponents mostly even, so that signs are often free."""
+    variables = [f"k{i}" for i in range(rng.randint(1, 5))]
+    point = {v: rng.choice((-1, 1)) * Fraction(rng.choice((1, 1, 2, 3, 4, 6, 9)),
+                                                rng.choice((1, 1, 2, 3)))
+             for v in variables}
+    eqs = []
+    for _ in range(rng.randint(1, len(variables) + 2)):
+        exps = {v: rng.choice((-4, -2, -1, 0, 0, 2, 2, 3, 4, 6)) for v in variables}
+        exps = tuple(sorted((v, e) for v, e in exps.items() if e))
+        const = prod((point[v] ** e for v, e in exps), start=ONE)
+        if rng.random() < 0.15:
+            const *= rng.choice((-1, 2, Fraction(1, 3), 4))
+        eqs.append(MonomialEquation(exps, const))
+    return eqs
+
+
+# the 6x5 system whose unimodular factors reach five-digit entries
+SIX_BY_FIVE = [MonomialEquation(exps, Fraction(c)) for exps, c in (
+    ((("k0", 4), ("k1", 3), ("k4", 1)), 2048),
+    ((("k2", -2),), Fraction(1, 9)),
+    ((("k1", 1), ("k2", -2), ("k3", 3)), -6),
+    ((("k2", 4),), 81),
+    ((("k0", 6), ("k4", -3)), 4096),
+    ((("k0", -3), ("k1", 6), ("k2", -1), ("k3", 2), ("k4", -3)), -3),
+)]
+
+
+def test_monomial_solver_matches_reference_on_fixed_systems():
+    want = {(("k0", 4), ("k1", 2), ("k2", -3), ("k3", -3), ("k4", 1)),
+            (("k0", -4), ("k1", 2), ("k2", 3), ("k3", -3), ("k4", 1))}
+    squares = [MonomialEquation(((f"s{i}", 2),), ONE) for i in range(SIGN_BITS_CAP + 1)]
+    # an empty set is found before the free signs are counted: s0^2 = -1
+    # alone, and again after s0^2 = 1
+    negative = MonomialEquation((("s0", 2),), -ONE)
+    for eqs, outcome in ((SIX_BY_FIVE, want), (squares, "sign-enumeration cap"),
+                         ([negative] + squares[1:], set()), (squares + [negative], set())):
+        assert _monomial_outcome(solve_monomial_system, eqs) == outcome
+        assert _monomial_outcome(reference_solve_monomial_system, eqs) == outcome
+
+
+def test_monomial_solver_matches_reference_on_random_systems():
+    rng = random.Random("monomial")
+    seen = dict.fromkeys(("empty", "free kernel", "two free signs", "negative constant",
+                          "fractional constant", "overdetermined"), 0)
+    for _ in range(1000):
+        eqs = _random_monomial_system(rng)
+        got = _monomial_outcome(solve_monomial_system, eqs)
+        assert got == _monomial_outcome(reference_solve_monomial_system, eqs), eqs
+        seen["empty"] += got == set()
+        seen["free kernel"] += got == "free multiplicative kernel"
+        seen["two free signs"] += isinstance(got, set) and len(got) >= 4
+        seen["negative constant"] += any(eq.const < 0 for eq in eqs)
+        seen["fractional constant"] += any(eq.const.denominator > 1 for eq in eqs)
+        seen["overdetermined"] += len(eqs) > len({v for eq in eqs for v, _ in eq.exps})
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 def _random_box(rng, alg):
