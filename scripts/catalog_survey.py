@@ -18,9 +18,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.p
 from minmod import catalog
 from minmod.cohomology import verify_volume_form
 from minmod.endo import SolverConfig, degree_spectrum
-from minmod.sullivan import (EllipticityCertificate, check_d_squared,
-                             check_minimality, dimension_formula,
-                             ellipticity_certificate)
+from minmod.sullivan import (Undecided, check_d_squared, check_minimality,
+                             dimension_formula, ellipticity_certificate)
 
 DEFAULT_PARAMS = {
     "lemma": [{"i": 0}, {"i": 1}, {"i": 2}],
@@ -43,10 +42,12 @@ def survey(cfg):
             af = catalog.build(entry.key, **params)
             alg = af.algebra
             ok = bool(check_d_squared(alg)) and bool(check_minimality(alg))
-            cert = ellipticity_certificate(alg)
-            elliptic = isinstance(cert, EllipticityCertificate)
+            try:
+                cert = ellipticity_certificate(alg)
+            except Undecided:
+                cert = None
             dim = dimension_formula(alg)
-            if not (ok and elliptic and af.volume is not None):
+            if not (ok and cert and af.volume is not None):
                 rows.append((label, dim, "structural" if not ok else "no volume", "", ""))
                 continue
             vol = verify_volume_form(alg, af.volume, cert)

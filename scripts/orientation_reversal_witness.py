@@ -17,26 +17,27 @@ import sys
 # run from a checkout without installing: minmod lives in ../src
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
-from minmod.catalog import build
+from minmod.cli import USAGE, _build
 from minmod.cohomology import verify_volume_form
-from minmod.dsl import element_str
+from minmod.dsl import ParseError, element_str
 from minmod.endo import degree_spectrum, verify_morphism
 from minmod.sullivan import ellipticity_certificate
+
+DEFAULT_PARAMS = {"chiral1": ["l1=4", "l2=2"], "chiral2": ["l=4"]}
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     key = argv[0] if argv else "chiral1"
-    params = dict((p.split("=")[0], int(p.split("=")[1])) for p in argv[1:])
-    if key == "chiral1" and not params:
-        params = {"l1": 4, "l2": 2}
-    if key == "chiral2" and not params:
-        params = {"l": 4}
-    af = build(key, **params)
+    try:
+        af = _build(key, argv[1:] or DEFAULT_PARAMS.get(key, ()))
+    except ParseError as exc:
+        print(exc, file=sys.stderr)
+        return USAGE
     alg = af.algebra
     vol = verify_volume_form(alg, af.volume, ellipticity_certificate(alg))
     verdict = degree_spectrum(alg, vol)
-    print(f"{key}{params}: {verdict.classification}")
+    print(f"{alg.name}: {verdict.classification}")
     for fam in verdict.families:
         print(f"  degree family: {fam.describe()}"
               + ("" if fam.never_negative else "  (takes negative values)"))

@@ -7,8 +7,8 @@ command-line front end and :mod:`minmod.catalog` for built-in presentations.
 """
 
 from .gca import Element, FreeGCA, Generator, StructureError
-from .sullivan import (SullivanAlgebra, TensorProduct, apply_algebra_map, check_d_squared,
-                       check_minimality, dimension_formula,
+from .sullivan import (SullivanAlgebra, TensorProduct, Undecided, apply_algebra_map,
+                       check_d_squared, check_minimality, dimension_formula,
                        eliminate_contractible_pair, ellipticity_certificate,
                        extend_derivation, formal_dimension, tensor_product)
 from .cohomology import (betti, betti_table, is_closed, is_exact,
@@ -23,7 +23,7 @@ from .catalog import build as catalog_build
 
 __all__ = [
     "Element", "FreeGCA", "Generator", "StructureError", "SullivanAlgebra", "TensorProduct",
-    "apply_algebra_map", "check_d_squared", "check_minimality",
+    "Undecided", "apply_algebra_map", "check_d_squared", "check_minimality",
     "dimension_formula", "eliminate_contractible_pair",
     "ellipticity_certificate", "extend_derivation", "formal_dimension",
     "tensor_product", "betti", "betti_table", "is_closed", "is_exact",

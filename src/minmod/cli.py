@@ -25,11 +25,11 @@ from .cohomology import (ExactnessWitness, TopFunctional, VolumeRejection, betti
 from .dsl import (AlgebraFile, ParseError, element_str, parse_algebra, parse_element,
                   parse_morphism, print_algebra)
 from .endo import SolverConfig, degree_spectrum, verify_morphism
-from .flexcert import (LowerGrading, check_prop4_condition, construct_lower_grading,
+from .flexcert import (check_prop4_condition, construct_lower_grading,
                        monomial_differential_check, multiple_family_verify,
                        scaling_certificate, scaling_images, two_stage_decomposition)
 from .gca import StructureError
-from .sullivan import (EllipticityCertificate, check_d_squared, check_minimality,
+from .sullivan import (EllipticityCertificate, Undecided, check_d_squared, check_minimality,
                        dimension_formula, ellipticity_certificate, formal_dimension)
 
 SCHEMA_NAME = "report.schema.json"
@@ -154,17 +154,19 @@ def cmd_check(args) -> int:
     alg = af.algebra
     d2 = check_d_squared(alg)
     minimal = check_minimality(alg)
-    cert = ellipticity_certificate(alg)
-    elliptic = isinstance(cert, EllipticityCertificate)
     lines = [f"d^2 = 0: {'pass' if d2 else 'FAIL'}",
              f"minimal: {'pass' if minimal else 'FAIL'}"]
     witnesses = []
-    if elliptic:
+    try:
+        cert = ellipticity_certificate(alg)
+    except Undecided as exc:
+        elliptic = False
+        lines.append(f"ellipticity: inconclusive at {exc.generator} ({exc.reason})")
+    else:
+        elliptic = True
         for name, (n, w) in sorted(cert.powers.items()):
             lines.append(f"elliptic: {name}^{n} exact")
             witnesses.append({"generator": name, "exponent": n, "witness": element_str(w)})
-    else:
-        lines.append(f"ellipticity: inconclusive at {cert.generator} (bound {cert.n_max})")
     payload = {
         "checks": {"d_squared": bool(d2), "minimal": bool(minimal), "elliptic": elliptic},
         "certificates": {"ellipticity": witnesses},
@@ -173,21 +175,9 @@ def cmd_check(args) -> int:
     return _report(args, "check", af, lines, payload)
 
 
-class Undecided(Exception):
-    """What a command needs could not be certified either way."""
-
-
-def _certified(af: AlgebraFile):
-    cert = ellipticity_certificate(af.algebra)
-    if not isinstance(cert, EllipticityCertificate):
-        raise Undecided(f"ellipticity inconclusive at {cert.generator}")
-    return cert
-
-
 def cmd_dim(args) -> int:
     af = load_algebra(args.algebra)
-    cert = _certified(af)
-    value = formal_dimension(af.algebra, cert)
+    value = formal_dimension(af.algebra, ellipticity_certificate(af.algebra))
     return _report(args, "dim", af, [str(value)], {"dimension": value})
 
 
@@ -238,7 +228,7 @@ def cmd_volume(args) -> int:
 def _volume(af: AlgebraFile):
     if af.volume is None:
         raise StructureError("the presentation declares no volume form")
-    return verify_volume_form(af.algebra, af.volume, _certified(af))
+    return verify_volume_form(af.algebra, af.volume, ellipticity_certificate(af.algebra))
 
 
 def cmd_spectrum(args) -> int:
@@ -267,10 +257,9 @@ def cmd_spectrum(args) -> int:
     })
 
 
-def cmd_flex(args) -> int:
-    af = load_algebra(args.algebra)
-    alg = af.algebra
-    vol = _volume(af)
+def _flex_structure(alg):
+    """A flex report's structural fields, its text lines and the lower grading;
+    emitting and replaying both derive them here."""
     mono_ok, offender = monomial_differential_check(alg)
     grading = construct_lower_grading(alg)
     cond_ok, cond_off = check_prop4_condition(alg, grading)
@@ -280,13 +269,21 @@ def cmd_flex(args) -> int:
                  f"{g.name}:{l}" for g, l in zip(alg.generators, grading.degrees)),
              f"lower-degree condition: {cond_ok}" + (f" (fails at {cond_off})" if cond_off else ""),
              f"two-stage: {two if two else 'none'}"]
-    payload = {
+    fields = {
         "monomial_differentials": mono_ok,
         "grading": {g.name: l for g, l in zip(alg.generators, grading.degrees)},
         "condition": cond_ok,
         "two_stage": {"closed": list(two[0]), "rest": list(two[1])} if two else None,
     }
-    if not cond_ok:
+    return fields, lines, grading
+
+
+def cmd_flex(args) -> int:
+    af = load_algebra(args.algebra)
+    alg = af.algebra
+    vol = _volume(af)
+    payload, lines, grading = _flex_structure(alg)
+    if not payload["condition"]:
         lines.append("no scaling certificate")
         return _report(args, "flex", af, lines, payload)
     sc = scaling_certificate(alg, grading, vol)
@@ -381,7 +378,8 @@ def _replay_checks(doc, command) -> list:
     if command == "check":
         return _replay_check(alg, doc)
     if command == "dim":
-        return [] if formal_dimension(alg, _certified(af)) == doc["dimension"] else ["dimension"]
+        dimension = formal_dimension(alg, ellipticity_certificate(alg))
+        return [] if dimension == doc["dimension"] else ["dimension"]
     if command == "betti":
         return [] if betti_table(alg, doc["max_degree"]) == doc["betti"] else ["betti table"]
     if command == "exact":
@@ -459,7 +457,7 @@ def _replay_volume(af, doc) -> list:
     alg = af.algebra
     rep = parse_element(alg, doc["representative"])
     try:
-        top = check_volume_representative(alg, rep, _certified(af))
+        top = check_volume_representative(alg, rep, ellipticity_certificate(alg))
     except VolumeRejection as exc:
         return [exc.reason]
     phi = {}
@@ -500,6 +498,12 @@ def _replay_morphisms(af, doc, command) -> list:
         entries = [(_images(alg, w["morphism"]), w["degree"], w.get("label", ""))
                    for w in doc["witnesses"]]
     else:
+        missing = [g.name for g in alg.generators if g.name not in doc["grading"]]
+        if missing:
+            raise ParseError(f"invalid report: grading has no level for {missing[0]!r}")
+        fields, _, grading = _flex_structure(alg)
+        failures += [f"{key} is {value}, the report says {doc[key]}"
+                     for key, value in fields.items() if doc[key] != value]
         entries = []
         scaling = doc.get("scaling")
         if scaling:
@@ -517,11 +521,6 @@ def _replay_morphisms(af, doc, command) -> list:
         if doc["condition"] and not (scaling and doc.get("multiples")):
             failures.append("the lower-degree condition holds, but no scaling family is given")
         if doc.get("multiples"):
-            levels = doc.get("grading", {})
-            missing = [g.name for g in alg.generators if g.name not in levels]
-            if missing:
-                raise ParseError(f"invalid report: grading has no level for {missing[0]!r}")
-            grading = LowerGrading(tuple(levels[g.name] for g in alg.generators))
             entries += [(scaling_images(alg, grading, 2 * m["k"]), m.get("degree"), f"k = {m['k']}")
                         for m in doc["multiples"]]
     for images, degree, label in entries:

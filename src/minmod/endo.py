@@ -341,19 +341,6 @@ class EnumerationCap(Exception):
     """Too many solutions to enumerate; the case must stay unresolved."""
 
 
-def _vp(q: Fraction, p: int) -> int:
-    v = 0
-    n = q.numerator
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
 def solve_monomial_system(eqs) -> tuple:
     """The exact solution set over the nonzero rationals: dicts var -> Fraction.
 
@@ -387,10 +374,12 @@ def solve_monomial_system(eqs) -> tuple:
         return [sum(t * x for t, x in zip(row, b)) for row in M]
 
     consts = [eq.const for eq in eqs]
-    primes = {p for c in consts for p in (*factorint(abs(c.numerator)), *factorint(c.denominator))}
+    # valuations: numerator and denominator are coprime, their primes count up and down
+    vals = [{**factorint(abs(c.numerator)), **{p: -e for p, e in factorint(c.denominator).items()}}
+            for c in consts]
     magnitudes = [ONE] * n
-    for p in primes:
-        ub = times(U, [_vp(c, p) for c in consts])
+    for p in {p for v in vals for p in v}:
+        ub = times(U, [v.get(p, 0) for v in vals])
         if any(ub[n:]) or any(x % di for x, di in zip(ub, d)):
             return ()
         for j, e in enumerate(times(V, [x // di for x, di in zip(ub, d)])):
@@ -617,13 +606,19 @@ class _Explorer:
         return [self._residual_leaf(work, ctx)]
 
     def _residual_leaf(self, work, ctx) -> CaseLeaf:
-        """No split applies: resolve anyway if the degree is constant on the case."""
+        """No split applies: resolve anyway if the degree is constant on the case
+        and attained, by the zero map for 0 and by a verified witness otherwise."""
         lam = volume_degree_polynomial(self.alg, self.ansatz, self.vol, ctx)
         reduced = reduce_modulo(lam, work)
         c = reduced.constant_value()
-        if c is not None:
+        if c == 0:  # the zero map attains degree 0 in every algebra
             return CaseLeaf(ctx.assumptions, True, (c,))
-        return _open_leaf(ctx, work, "degree not constant on the case")
+        if c is None:
+            return _open_leaf(ctx, work, "degree not constant on the case")
+        closed = self._close_out(ctx, reduced, fixed={})
+        if isinstance(closed, str):
+            return _open_leaf(ctx, work, closed)
+        return CaseLeaf(ctx.assumptions, True, *map(tuple, closed))
 
     def _split_variable(self, blocking, ctx):
         allowed = set(self.ansatz.diagonal)

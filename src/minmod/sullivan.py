@@ -205,15 +205,13 @@ class EllipticityCertificate:
         return True
 
 
-@dataclass
-class EllipticityFailure:
-    """The exactness search exceeded its bound: inconclusive, not a disproof."""
+class Undecided(Exception):
+    """The ellipticity search cannot decide: inconclusive, not a disproof."""
 
-    generator: str
-    n_max: int
-
-    def __bool__(self):
-        return False
+    def __init__(self, generator: str, reason: str):
+        super().__init__(f"ellipticity inconclusive at {generator}")
+        self.generator = generator
+        self.reason = reason
 
 
 def nilpotency_bound(alg: SullivanAlgebra, gen: Generator) -> int:
@@ -227,27 +225,32 @@ def nilpotency_bound(alg: SullivanAlgebra, gen: Generator) -> int:
     return ceiling // gen.degree + 1
 
 
-def ellipticity_certificate(alg: SullivanAlgebra):
-    """Certify nilpotency of every even generator, with exactness witnesses."""
+def ellipticity_certificate(alg: SullivanAlgebra) -> EllipticityCertificate:
+    """Certify nilpotency of every even generator, with exactness witnesses.
+
+    Raises Undecided at the first even generator that is not closed (its
+    powers are not cocycles, so the search does not apply) or has no exact
+    power up to ``nilpotency_bound``.
+    """
     from . import cohomology
 
     powers = {}
-    for g in alg.generators:
+    for g, dg in zip(alg.generators, alg.diff):
         if g.is_odd:
             continue
+        if dg:
+            raise Undecided(g.name, "not closed")
         n_max = nilpotency_bound(alg, g)
         x = alg.gen(g.name)
         xn = alg.free.one()
-        found = None
         for n in range(1, n_max + 1):
             xn = xn * x
             witness = cohomology.is_exact(alg, xn)
             if witness is not None:
-                found = (n, witness.preimage)
+                powers[g.name] = (n, witness.preimage)
                 break
-        if found is None:
-            return EllipticityFailure(g.name, n_max)
-        powers[g.name] = found
+        else:
+            raise Undecided(g.name, f"bound {n_max}")
     return EllipticityCertificate(alg, powers)
 
 

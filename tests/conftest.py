@@ -4,16 +4,14 @@ from functools import lru_cache
 
 from minmod import catalog
 from minmod.cohomology import verify_volume_form
-from minmod.sullivan import EllipticityCertificate, ellipticity_certificate
+from minmod.sullivan import ellipticity_certificate
 
 
 @lru_cache(maxsize=None)
 def built(key, **params):
     """(AlgebraFile, certificate) for a catalog entry, built once per session."""
     af = catalog.build(key, **params)
-    cert = ellipticity_certificate(af.algebra)
-    assert isinstance(cert, EllipticityCertificate), key
-    return af, cert
+    return af, ellipticity_certificate(af.algebra)
 
 
 @lru_cache(maxsize=None)

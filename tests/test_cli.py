@@ -50,24 +50,33 @@ def test_check_inconclusive_on_non_elliptic(capsys, tmp_path):
 
 
 NOT_ELLIPTIC = "gen x : 2\ngen y : 3\nvolume x*y\n"
+# d w = x*a, so no power of w is a cocycle and the search for an exact one cannot apply
+NOT_CLOSED = "gen x : 2\ngen y : 3\ngen a : 3\ngen w : 4\nd y = x^2\nd w = x*a\nvolume a\n"
+
+
+def _inconclusive_for_every_command(capsys, tmp_path, source, generator, reason):
+    alg = tmp_path / "source.alg"
+    alg.write_text(source)
+    identity = tmp_path / "identity.mor"
+    identity.write_text("".join(f"f {g} = {g}\n" for g in re.findall(r"^gen (\w+)", source, re.M)))
+    code, out, err = run(capsys, "check", str(alg))
+    assert code == INCONCLUSIVE and not err
+    assert f"ellipticity: inconclusive at {generator} ({reason})" in out.splitlines()
+    inconclusive = (INCONCLUSIVE, "", f"ellipticity inconclusive at {generator}\n")
+    for argv in (("dim",), ("volume",), ("spectrum",), ("flex",), ("verify", str(identity))):
+        assert run(capsys, argv[0], str(alg), *argv[1:]) == inconclusive, argv
+    # replay reaches the formal dimension and the volume form the way the commands do
+    for command in ("dim", "spectrum"):
+        assert _replay_tampered(capsys, tmp_path, (command, "cp(n=2)"),
+                                lambda doc: doc["algebra"].update(source=source)) == inconclusive
 
 
 def test_inconclusive_ellipticity_is_inconclusive_for_every_command(capsys, tmp_path):
-    alg = tmp_path / "not-elliptic.alg"
-    alg.write_text(NOT_ELLIPTIC)
-    identity = tmp_path / "identity.mor"
-    identity.write_text("f x = x\nf y = y\n")
-    code, out, err = run(capsys, "check", str(alg))
-    assert code == INCONCLUSIVE and not err
-    assert "ellipticity: inconclusive at x (bound 3)" in out.splitlines()
-    for argv in (("dim",), ("volume",), ("spectrum",), ("flex",), ("verify", str(identity))):
-        code, out, err = run(capsys, argv[0], str(alg), *argv[1:])
-        assert (code, out, err) == (INCONCLUSIVE, "", "ellipticity inconclusive at x\n"), argv
-    # replay reaches the formal dimension and the volume form the way the commands do
-    for command in ("dim", "spectrum"):
-        code, out, err = _replay_tampered(capsys, tmp_path, (command, "cp(n=2)"),
-                                          lambda doc: doc["algebra"].update(source=NOT_ELLIPTIC))
-        assert (code, out, err) == (INCONCLUSIVE, "", "ellipticity inconclusive at x\n"), command
+    _inconclusive_for_every_command(capsys, tmp_path, NOT_ELLIPTIC, "x", "bound 3")
+
+
+def test_non_closed_even_generator_is_inconclusive_for_every_command(capsys, tmp_path):
+    _inconclusive_for_every_command(capsys, tmp_path, NOT_CLOSED, "w", "not closed")
 
 
 def test_dim(capsys):
@@ -289,12 +298,20 @@ def test_replay_reads_degrees_through_the_verified_volume(capsys, tmp_path, argv
      ["exactness witness does not verify"]),
     (("exact", "cp(n=2)", "y"), lambda doc: doc.update(exact=True, witness="x"),
      ["the report gives an exactness witness for an element that is not closed"]),
+    (("exact", "cp(n=2)", "x^5"), lambda doc: doc.update(closed=False, verdict="fail"),
+     ["closed is True, the report says False"]),
     (("verify", "cp(n=2)", "{morphism}"),
      lambda doc: doc.update(valid=False, failing="y", degree=None, verdict="fail"),
      ["valid is True, the report says False", "failing is None, the report says y",
       "degree is 16, the report says None"]),
+    (("volume", "cp(n=2)"), lambda doc: doc.update(rejected="not closed", verdict="fail"),
+     ["volume form verifies, the report says rejected for 'not closed'"]),
+    (("spectrum", "cp(n=2)"), lambda doc: doc["witnesses"][0].update(morphism=["f x = 2*x",
+                                                                               "f y = 16*y"]),
+     ["morphism (t = 2) fails at y"]),
 ], ids=["exact-without-witness", "not-exact-with-witness", "not-exact-but-exact",
-        "wrong-witness", "witness-for-non-closed", "verify-claims-invalid"])
+        "wrong-witness", "witness-for-non-closed", "closed-but-not-closed",
+        "verify-claims-invalid", "volume-claims-rejected", "spectrum-witness-not-a-morphism"])
 def test_replay_checks_exact_and_verify_claims_against_their_evidence(capsys, tmp_path, argv,
                                                                       tamper, reasons):
     morphism = tmp_path / "f.mor"
@@ -336,15 +353,21 @@ def _replay_tampered_volume(capsys, tmp_path, tamper):
     return _replay_tampered(capsys, tmp_path, ("volume", "chiral3(l=5)"), tamper)
 
 
-@pytest.mark.parametrize("field,value,reason", [
-    ("degree", 7, "degree 7 != formal dimension 47"),
+@pytest.mark.parametrize("tamper,reason", [
+    (lambda doc: doc.update(degree=7), "degree 7 != formal dimension 47"),
     # phi(x2^7*n2) = 1, but d(x2^7*n2) = x2^12
-    ("representative", "x2^7*n2", "not closed"),
-], ids=["degree", "representative"])
-def test_replay_volume_checks_degree_and_representative(capsys, tmp_path, field, value, reason):
-    code, out, _ = _replay_tampered_volume(capsys, tmp_path,
-                                           lambda doc: doc.update({field: value}))
-    assert code == FAIL and f"replay FAIL: {reason}" in out
+    (lambda doc: doc.update(representative="x2^7*n2"), "not closed"),
+    (lambda doc: doc["functional"].append({"monomial": "x1", "value": "0"}),
+     "functional has a monomial outside degree 47"),
+    # phi(x2^7*n2) = 2: the representative has no x2^7*n2 term, so only phi(d) = 0 breaks
+    (lambda doc: doc["functional"][0].update(value="2"), "functional does not annihilate d"),
+    (lambda doc: [e.update(value=str(-int(e["value"]))) for e in doc["functional"]],
+     "functional does not normalize the representative"),
+], ids=["degree", "representative", "functional-degree", "functional-not-annihilating",
+        "functional-not-normalizing"])
+def test_replay_volume_checks_degree_and_representative(capsys, tmp_path, tamper, reason):
+    code, out, _ = _replay_tampered_volume(capsys, tmp_path, tamper)
+    assert (code, out) == (FAIL, f"replay FAIL: {reason}\n")
 
 
 # d^2 z = d(x*y*u) = x^3*u, and x*u*z is closed, of the formal dimension 12 and
@@ -374,17 +397,36 @@ def test_replay_volume_checks_the_algebra_as_volume_does(capsys, tmp_path, sourc
     assert _replay_tampered(capsys, tmp_path, ("volume", "cp(n=2)"), tamper) == replayed
 
 
-@pytest.mark.parametrize("tamper,reason", [
+def _no_scaling_family(doc):
+    doc.pop("scaling")
+    doc.pop("multiples")
+
+
+def _structure_denied(doc):
+    _no_scaling_family(doc)
+    doc.update(condition=False, monomial_differentials=False, two_stage=None,
+               verdict="inconclusive")
+
+
+@pytest.mark.parametrize("tamper,reasons", [
     (lambda doc: doc["multiples"][0].update(degree="5"),
-     "morphism (k = 2) degree 4398046511104 != 5"),
-    (lambda doc: doc["scaling"].update(exponent=3), "scaling degree 2097152 != 2^3"),
-    (lambda doc: doc["scaling"].update(base=0, exponent=-1), "scaling degree 2097152 != 0^-1"),
-    (lambda doc: [doc.pop("scaling"), doc.pop("multiples")],
-     "the lower-degree condition holds, but no scaling family is given"),
-], ids=["multiple-degree", "scaling-exponent", "negative-exponent", "no-scaling-family"])
-def test_replay_flex_checks_multiples_and_exponent(capsys, tmp_path, tamper, reason):
+     ["morphism (k = 2) degree 4398046511104 != 5"]),
+    (lambda doc: doc["scaling"].update(exponent=3), ["scaling degree 2097152 != 2^3"]),
+    (lambda doc: doc["scaling"].update(base=0, exponent=-1), ["scaling degree 2097152 != 0^-1"]),
+    (_no_scaling_family, ["the lower-degree condition holds, but no scaling family is given"]),
+    (_structure_denied, ["monomial_differentials is True, the report says False",
+                         "condition is True, the report says False"]),
+    (lambda doc: doc.update(two_stage={"closed": ["a"], "rest": []}),
+     ["two_stage is None, the report says {'closed': ['a'], 'rest': []}"]),
+    (lambda doc: doc["grading"].update(m=3),
+     ["grading is {'a': 0, 'b': 0, 'n': 1, 'm': 2}, the report says "
+      "{'a': 0, 'b': 0, 'n': 1, 'm': 3}"]),
+], ids=["multiple-degree", "scaling-exponent", "negative-exponent", "no-scaling-family",
+        "structure-denied", "two-stage", "grading"])
+def test_replay_flex_checks_multiples_and_exponent(capsys, tmp_path, tamper, reasons):
     code, out, _ = _replay_tampered(capsys, tmp_path, ("flex", "lower-grading"), tamper)
-    assert code == FAIL and f"replay FAIL: {reason}" in out
+    assert code == FAIL
+    assert out.splitlines() == [f"replay FAIL: {r}" for r in reasons]
 
 
 def test_replay_never_computes_a_power_the_report_sets(capsys, tmp_path):

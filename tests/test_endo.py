@@ -128,7 +128,7 @@ def test_monomial_system_free_kernel():
     (3, -8, ({"a": Fraction(-2)},)),
 ], ids=["a=-2", "a^2=-1", "a^3=-8"])
 def test_monomial_system_negative_constant(exponent, const, want):
-    # factorint(-n) lists -1 as a prime, and _vp(c, -1) never returns
+    # factorint(-n) lists -1 as a prime, which has no valuation: only |c| is factored
     eq = MonomialEquation((("a", exponent),), Fraction(const))
     assert solve_monomial_system([eq]) == want
 
@@ -166,6 +166,23 @@ def test_open_leaves_name_why_the_degree_was_not_read_off():
     leaf = explorer._leaf([], [], CaseContext())
     assert not leaf.resolved
     assert leaf.residual == ("k1*k3*k5*k6 - k2*k4*k5*k6", "witness did not verify")
+
+
+def test_residual_leaf_resolves_only_a_degree_some_map_attains():
+    # on cp(n=1) the degree is k1^2: k1^2 = 2 leaves the constant 2, which no
+    # rational k1 attains, so the case stays open
+    af, cert, vol = certified("cp", n=1)
+    explorer = _Explorer(af.algebra, generic_ansatz(af.algebra), vol, SolverConfig())
+    k1 = MPoly.var("k1")
+    leaf = explorer._residual_leaf([k1 ** 2 - 2], CaseContext())
+    assert not leaf.resolved and leaf.residual == ("-2 + k1^2", "witness did not verify")
+    # the zero map attains degree 0 with no witness; degree 1 needs a verified one
+    leaf = explorer._residual_leaf([k1 ** 2], CaseContext())
+    assert leaf.resolved and leaf.degrees == (0,) and not leaf.witnesses
+    leaf = explorer._residual_leaf([k1 ** 2 - 1], CaseContext(nonzeros=frozenset({"k1", "k2"})))
+    assert leaf.resolved and leaf.degrees == (1,)
+    identity = {g.name: af.algebra.gen(g.name) for g in af.algebra.generators}
+    assert [(m.images, d) for m, d in leaf.witnesses] == [(identity, 1)]
 
 
 def test_leaf_reason_tells_a_failed_witness_from_an_unsupported_degree(monkeypatch):

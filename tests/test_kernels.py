@@ -23,7 +23,7 @@ import pytest
 from conftest import ALL_KEYS, built, certified
 from minmod.cohomology import (ExactnessWitness, TopFunctional, d_matrix, is_closed,
                                is_exact, top_functional_from_volume)
-from minmod.endo import (SIGN_BITS_CAP, EnumerationCap, MonomialEquation, _vp, generic_ansatz,
+from minmod.endo import (SIGN_BITS_CAP, EnumerationCap, MonomialEquation, generic_ansatz,
                          solve_monomial_system)
 from minmod.flexcert import bigraded_cohomology_basis, construct_lower_grading, scaling_images
 from minmod.gca import Element, FreeGCA, Generator, _even_fills, mul_terms
@@ -282,6 +282,20 @@ def _reference_gf2_enumerate(rows, rhs, variables):
     return out
 
 
+def _reference_vp(q: Fraction, p: int) -> int:
+    """The p-adic valuation of q, by repeated division."""
+    v = 0
+    n = q.numerator
+    while n % p == 0:
+        n //= p
+        v += 1
+    d = q.denominator
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
 def reference_solve_monomial_system(eqs) -> tuple:
     """Magnitudes by one LinearSolver solve per prime after a rank check,
     signs by Gaussian elimination over GF(2)."""
@@ -313,7 +327,7 @@ def reference_solve_monomial_system(eqs) -> tuple:
         psolver = LinearSolver()
         try:
             for row, c in zip(rows, consts):
-                psolver.add_equation(row, _vp(c, p))
+                psolver.add_equation(row, _reference_vp(c, p))
         except Inconsistent:
             return ()
         sol = psolver.particular_solution()

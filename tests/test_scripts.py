@@ -14,10 +14,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 
 
-def _run_without_install(*argv, cwd=ROOT):
+def _spawn_without_install(*argv, cwd=ROOT):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    proc = subprocess.run([sys.executable, *argv],
+    return subprocess.run([sys.executable, *argv],
                           cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
+
+
+def _run_without_install(*argv, cwd=ROOT):
+    proc = _spawn_without_install(*argv, cwd=cwd)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -31,6 +35,19 @@ def test_catalog_survey_runs_without_install():
 def test_orientation_reversal_witness_runs_without_install():
     out = _run_without_install(os.path.join("scripts", "orientation_reversal_witness.py"))
     assert out.splitlines()[-1].endswith("orientation-reversing witness(es) re-verified"), out
+
+
+@pytest.mark.parametrize("params,err", [
+    (["l=oops"], "catalog parameter l must be an integer\n"),
+    (["oops"], "bad catalog parameter 'oops'\n"),
+], ids=["not-an-integer", "no-value"])
+def test_orientation_reversal_witness_reads_parameters_as_the_cli_does(params, err):
+    script = os.path.join("scripts", "orientation_reversal_witness.py")
+    proc = _spawn_without_install(script, "chiral2", *params)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", err)
+    proc = _spawn_without_install("-m", "minmod", "catalog", "chiral2",
+                                  *(f"--param={p}" for p in params), cwd=SRC)
+    assert (proc.returncode, proc.stderr) == (3, err)
 
 
 def test_python_dash_m_minmod_runs_from_src():

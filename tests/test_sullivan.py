@@ -8,7 +8,7 @@ from conftest import built, certified
 from minmod.dsl import parse_algebra, parse_element
 from minmod.gca import StructureError
 from minmod.sullivan import (ContractionError, EllipticityCertificate, SullivanAlgebra,
-                             check_d_squared, check_minimality, dimension_formula,
+                             Undecided, check_d_squared, check_minimality, dimension_formula,
                              eliminate_contractible_pair,
                              ellipticity_certificate, extend_derivation,
                              formal_dimension, tensor_product)
@@ -100,6 +100,18 @@ def test_formal_dimension_requires_certificate():
     assert formal_dimension(af.algebra, cert) == 231
     with pytest.raises(StructureError):
         formal_dimension(af.algebra, None)
+
+
+@pytest.mark.parametrize("source,generator,reason", [
+    ("gen x : 2\ngen y : 3\n", "x", "bound 3"),
+    # d w = x*a: no power of w is a cocycle, so the search for an exact one cannot apply
+    ("gen x : 2\ngen y : 3\ngen a : 3\ngen w : 4\nd y = x^2\nd w = x*a\n", "w", "not closed"),
+], ids=["no-exact-power", "not-closed"])
+def test_undecided_ellipticity_names_its_generator_and_reason(source, generator, reason):
+    with pytest.raises(Undecided) as info:
+        ellipticity_certificate(parse_algebra(source).algebra)
+    assert (info.value.generator, info.value.reason) == (generator, reason)
+    assert str(info.value) == f"ellipticity inconclusive at {generator}"
 
 
 def test_tensor_product_dimension_additive():
