@@ -17,11 +17,9 @@ import sys
 # run from a checkout without installing: minmod lives in ../src
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
-from minmod.cli import USAGE, _build
-from minmod.cohomology import verify_volume_form
-from minmod.dsl import ParseError, element_str
+from minmod.cli import ERRORS, _build, _volume, error_exit
+from minmod.dsl import element_str
 from minmod.endo import degree_spectrum, verify_morphism
-from minmod.sullivan import ellipticity_certificate
 
 DEFAULT_PARAMS = {"chiral1": ["l1=4", "l2=2"], "chiral2": ["l=4"]}
 
@@ -31,11 +29,10 @@ def main(argv=None):
     key = argv[0] if argv else "chiral1"
     try:
         af = _build(key, argv[1:] or DEFAULT_PARAMS.get(key, ()))
-    except ParseError as exc:
-        print(exc, file=sys.stderr)
-        return USAGE
+        vol = _volume(af)
+    except ERRORS as exc:
+        return error_exit(exc)
     alg = af.algebra
-    vol = verify_volume_form(alg, af.volume, ellipticity_certificate(alg))
     verdict = degree_spectrum(alg, vol)
     print(f"{alg.name}: {verdict.classification}")
     for fam in verdict.families:

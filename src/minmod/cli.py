@@ -15,6 +15,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -25,7 +26,7 @@ from .cohomology import (ExactnessWitness, TopFunctional, VolumeRejection, betti
 from .dsl import (AlgebraFile, ParseError, element_str, parse_algebra, parse_element,
                   parse_morphism, print_algebra)
 from .endo import SolverConfig, degree_spectrum, verify_morphism
-from .flexcert import (check_prop4_condition, construct_lower_grading,
+from .flexcert import (check_prop4_condition, class_count, construct_lower_grading,
                        monomial_differential_check, multiple_family_verify,
                        scaling_certificate, scaling_images, two_stage_decomposition)
 from .gca import StructureError
@@ -36,6 +37,7 @@ SCHEMA_NAME = "report.schema.json"
 SCHEMA_ID = "minmod-report/1"
 
 PASS, FAIL, INCONCLUSIVE, USAGE = 0, 1, 2, 3
+ERRORS = (ParseError, StructureError, Undecided, VolumeRejection)  # reported by error_exit
 
 
 class _Parser(argparse.ArgumentParser):
@@ -392,7 +394,8 @@ def _replay_checks(doc, command) -> list:
 
 
 def _replay_check(alg, doc) -> list:
-    """Recompute d^2 = 0 and minimality; replay one witness per even generator."""
+    """Recompute d^2 = 0 and minimality; replay one witness per even generator.
+    A not-elliptic claim carries no certificate, so the search runs again."""
     checks = doc["checks"]
     failures = [f"{key} is {ok}, the report says {checks[key]}"
                 for key, ok in (("d_squared", bool(check_d_squared(alg))),
@@ -404,6 +407,10 @@ def _replay_check(alg, doc) -> list:
     powers = {c["generator"]: (c["exponent"], parse_element(alg, c["witness"])) for c in certs}
     if names != even:
         failures.append(f"ellipticity witnesses for {names}, expected {even}")
+    elif not checks["elliptic"]:
+        with suppress(Undecided):
+            ellipticity_certificate(alg)
+            failures.append("elliptic is True, the report says False")
     elif not EllipticityCertificate(alg, powers).replay():
         failures.append("ellipticity witnesses do not verify")
     return failures
@@ -523,6 +530,12 @@ def _replay_morphisms(af, doc, command) -> list:
         if doc.get("multiples"):
             entries += [(scaling_images(alg, grading, 2 * m["k"]), m.get("degree"), f"k = {m['k']}")
                         for m in doc["multiples"]]
+            count = class_count(alg, grading)
+            for m in doc["multiples"]:
+                want = count if m.get("failing") is None else 0
+                if m.get("classes", want) != want:
+                    failures.append(f"classes is {want}, the report says {m['classes']}"
+                                    f" (k = {m['k']})")
     for images, degree, label in entries:
         degree = None if degree is None else _rational(degree)
         rep = verify_morphism(alg, images, vol)
@@ -575,6 +588,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+def error_exit(exc) -> int:
+    """Print one of ``ERRORS`` as the command line's one-line message; its exit code."""
+    print(exc, file=sys.stderr)
+    return {ParseError: USAGE, Undecided: INCONCLUSIVE}.get(type(exc), FAIL)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -585,12 +604,8 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         return args.fn(args)
-    except (ParseError, StructureError, Undecided) as exc:
-        print(str(exc), file=sys.stderr)
-        return {ParseError: USAGE, Undecided: INCONCLUSIVE}.get(type(exc), FAIL)
-    except VolumeRejection as exc:
-        print(f"volume rejected: {exc.reason}", file=sys.stderr)
-        return FAIL
+    except ERRORS as exc:
+        return error_exit(exc)
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ ONE = Fraction(1)
 
 class VolumeRejection(ValueError):
     def __init__(self, reason: str):
-        super().__init__(reason)
+        super().__init__(f"volume rejected: {reason}")
         self.reason = reason
 
 

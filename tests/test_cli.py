@@ -217,18 +217,32 @@ def _empty_witnesses_and_false_checks(doc):
     doc["checks"].update(d_squared=False, minimal=False)
 
 
+def _not_elliptic(doc):
+    _empty_witnesses(doc)
+    doc["checks"].update(elliptic=False)
+    doc.update(verdict="inconclusive")
+
+
 @pytest.mark.parametrize("tamper,reasons", [
     (_empty_witnesses, ["ellipticity witnesses for [], expected ['x']"]),
     (_empty_witnesses_and_false_checks, ["d_squared is True, the report says False",
                                          "minimal is True, the report says False",
                                          "ellipticity witnesses for [], expected ['x']",
                                          "the report's fields give verdict fail, it says pass"]),
-], ids=["no-witnesses", "false-checks"])
+    (_not_elliptic, ["elliptic is True, the report says False"]),
+], ids=["no-witnesses", "false-checks", "not-elliptic"])
 def test_replay_check_recomputes_the_checks_and_needs_every_witness(capsys, tmp_path,
                                                                      tamper, reasons):
     code, out, _ = _replay_tampered(capsys, tmp_path, ("check", "cp(n=2)"), tamper)
     assert code == FAIL
     assert out.splitlines() == [f"replay FAIL: {r}" for r in reasons]
+
+
+def test_replay_of_an_undecided_check_searches_again(capsys, tmp_path):
+    alg = tmp_path / "source.alg"
+    alg.write_text(NOT_ELLIPTIC)
+    assert _replay_tampered(capsys, tmp_path, ("check", str(alg)), lambda doc: None,
+                            emitted=INCONCLUSIVE) == (PASS, "replayed check: all certificates verify\n", "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -411,6 +425,10 @@ def _structure_denied(doc):
 @pytest.mark.parametrize("tamper,reasons", [
     (lambda doc: doc["multiples"][0].update(degree="5"),
      ["morphism (k = 2) degree 4398046511104 != 5"]),
+    (lambda doc: doc["multiples"][0].update(classes=8), ["classes is 7, the report says 8 (k = 2)"]),
+    (lambda doc: doc["multiples"][1].update(failing="m"),
+     ["classes is 0, the report says 7 (k = 3)",
+      "the report's fields give verdict fail, it says pass"]),
     (lambda doc: doc["scaling"].update(exponent=3), ["scaling degree 2097152 != 2^3"]),
     (lambda doc: doc["scaling"].update(base=0, exponent=-1), ["scaling degree 2097152 != 0^-1"]),
     (_no_scaling_family, ["the lower-degree condition holds, but no scaling family is given"]),
@@ -421,7 +439,7 @@ def _structure_denied(doc):
     (lambda doc: doc["grading"].update(m=3),
      ["grading is {'a': 0, 'b': 0, 'n': 1, 'm': 2}, the report says "
       "{'a': 0, 'b': 0, 'n': 1, 'm': 3}"]),
-], ids=["multiple-degree", "scaling-exponent", "negative-exponent", "no-scaling-family",
+], ids=["multiple-degree", "classes", "failing-multiple-classes", "scaling-exponent", "negative-exponent", "no-scaling-family",
         "structure-denied", "two-stage", "grading"])
 def test_replay_flex_checks_multiples_and_exponent(capsys, tmp_path, tamper, reasons):
     code, out, _ = _replay_tampered(capsys, tmp_path, ("flex", "lower-grading"), tamper)

@@ -8,12 +8,12 @@ from conftest import built, certified
 from minmod import flexcert
 from minmod.endo import verify_morphism
 from minmod.flexcert import (LowerGrading, bigraded_cohomology_basis,
-                             check_prop4_condition, construct_lower_grading,
+                             check_prop4_condition, class_count, construct_lower_grading,
                              monomial_differential_check,
                              multiple_family_verify, scaling_certificate,
                              scaling_images, two_stage_decomposition)
 from minmod.gca import StructureError
-from minmod.sullivan import extend_derivation
+from minmod.sullivan import dimension_formula, extend_derivation
 from test_kernels import reference_bigraded_cohomology_basis
 
 
@@ -99,6 +99,38 @@ def test_bigraded_basis_invariants():
     # fundamental class present at the formal dimension
     assert any(n == 18 for n, _, _ in basis)
     assert bigraded_cohomology_basis(alg, grading, 18) == [(n, lev) for n, lev, _ in basis]
+
+
+@pytest.mark.parametrize("key,params,top,middle", [
+    ("chiral2", {"l": 4}, 73, 0),           # odd formal dimension
+    ("cp", {"n": 4}, 16, 1),                # b_8 = 1 counts once
+    ("chiral1", {"l1": 4, "l2": 2}, 54, 6),
+    ("sphere", {"k": 6}, 6, 0),
+    ("lower-grading", {}, 18, 0),
+    ("chiral1", {"l1": 2, "l2": 5}, 70, 0),
+], ids=["chiral2", "cp", "chiral1-4-2", "sphere", "lower-grading", "chiral1-2-5"])
+def test_class_count_by_duality_matches_the_full_ranking(key, params, top, middle):
+    alg = built(key, **params)[0].algebra
+    grading = construct_lower_grading(alg)
+    full = bigraded_cohomology_basis(alg, grading, top)
+    assert dimension_formula(alg) == top
+    assert sum(2 * n == top for n, _ in full) == middle
+    assert class_count(alg, grading) == len(full)
+
+
+def test_multiple_family_ranks_d_only_up_to_half_the_dimension(monkeypatch):
+    af, cert, vol = certified("chiral2", l=4)
+    alg = af.algebra
+    grading = construct_lower_grading(alg)
+    asked = []
+
+    def recording(alg, grading, up_to):
+        asked.append(up_to)
+        return bigraded_cohomology_basis(alg, grading, up_to)
+
+    monkeypatch.setattr(flexcert, "bigraded_cohomology_basis", recording)
+    checks = multiple_family_verify(alg, grading, vol, ks=(2, 3))
+    assert all(c.ok for c in checks) and asked == [73 // 2]
 
 
 def test_multiple_family_lower_grading():

@@ -50,6 +50,13 @@ def test_orientation_reversal_witness_reads_parameters_as_the_cli_does(params, e
     assert (proc.returncode, proc.stderr) == (3, err)
 
 
+def test_orientation_reversal_witness_fails_as_the_cli_does_without_a_volume_form():
+    script = os.path.join("scripts", "orientation_reversal_witness.py")
+    proc = _spawn_without_install(script, "chain-fibered")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "the presentation declares no volume form\n")
+
+
 def test_python_dash_m_minmod_runs_from_src():
     out = _run_without_install("-m", "minmod", "--json", "dim", "cp(n=4)",
                                cwd=SRC)
