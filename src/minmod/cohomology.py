@@ -16,17 +16,14 @@ only for Betti numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import sub
 
 from .gca import Element, StructureError
 from .linalg import Inconsistent, LinearSolver
+from .poly import ONE, ZERO, quotient
 from .sullivan import (EllipticityCertificate, SullivanAlgebra, TensorProduct, apply_algebra_map,
                        check_d_squared, dimension_formula, extend_derivation)
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class VolumeRejection(ValueError):
@@ -182,7 +179,7 @@ class TopFunctional:
     """
 
     alg: SullivanAlgebra
-    phi: dict  # monomial -> Fraction
+    phi: dict  # monomial -> int, or Fraction when not integral
 
     @cached_property
     def box(self) -> tuple:
@@ -192,7 +189,7 @@ class TopFunctional:
         return tuple(map(max, zip(*self.phi)))
 
     def apply(self, e: Element):
-        """phi(e); works for Fraction and for symbolic (MPoly) coefficients."""
+        """phi(e); works for rational and for symbolic (MPoly) coefficients."""
         total = None
         for m, c in e.terms.items():
             v = self.phi.get(m)
@@ -299,7 +296,7 @@ def _product_functional(prod: TensorProduct, e: Element) -> TopFunctional:
     lam = TopFunctional(prod, phi).apply(e)
     if not lam:
         raise VolumeRejection("not separated by the product functional")
-    return TopFunctional(prod, {m: c / lam for m, c in phi.items()})
+    return TopFunctional(prod, {m: quotient(c, lam) for m, c in phi.items()})
 
 
 def top_class_coefficient(alg: SullivanAlgebra, e: Element, vol: VolumeForm):

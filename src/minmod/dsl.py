@@ -23,7 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gca import Element, FreeGCA, Generator, StructureError
+from .poly import quotient
 from .sullivan import SullivanAlgebra
+
+_NUMBER = (int, Fraction)  # a rational value: an int, or a Fraction when not integral
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<op>[-+*^/()=:]))"
@@ -79,7 +82,7 @@ class _ExprParser:
         self.toks = statement  # the expression is statement[start:]
         self.i = start
         self.line = line
-        self.symbols = symbols  # name -> Element or Fraction (params)
+        self.symbols = symbols  # name -> Element or int (params)
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -116,10 +119,14 @@ class _ExprParser:
             rhs = self.unary()
             if t.value == "*":
                 v = v * rhs
+            elif not isinstance(rhs, _NUMBER):
+                raise ParseError("division only by rational literals", t.line, t.col)
+            elif not rhs:
+                raise ParseError("division by zero", t.line, t.col)
+            elif isinstance(v, Element):
+                v = v.scale(quotient(1, rhs))
             else:
-                if not isinstance(rhs, Fraction):
-                    raise ParseError("division only by rational literals", t.line, t.col)
-                v = v * (1 / rhs)
+                v = quotient(v, rhs)
         return v
 
     def unary(self):
@@ -136,7 +143,7 @@ class _ExprParser:
         if t and t.value == "^":
             self.take()
             exp = self.unary()  # right-associative; a negative exponent is refused below
-            if isinstance(exp, Fraction):
+            if isinstance(exp, _NUMBER):
                 if exp.denominator != 1 or exp < 0:
                     raise ParseError(f"exponent must be a non-negative integer, got {exp}", t.line, t.col)
                 exp = int(exp)
@@ -155,7 +162,7 @@ class _ExprParser:
             self.take(")")
             return v
         if t.kind == "num":
-            return Fraction(int(t.value))
+            return int(t.value)
         if t.kind == "name":
             if t.value not in self.symbols:
                 raise ParseError(f"unknown name {t.value!r}", t.line, t.col)
@@ -191,15 +198,15 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
                 raise ParseError("expected: param NAME = INT", line_no, head.col)
             _once(toks[1].value in params, f"param {toks[1].value}", head)
             val = _ExprParser(toks, 3, line_no, dict(params)).parse()
-            if not isinstance(val, Fraction) or val.denominator != 1:
+            if not isinstance(val, _NUMBER) or val.denominator != 1:
                 raise ParseError("param value must be an integer", line_no, toks[3].col)
-            params[toks[1].value] = Fraction(val)
+            params[toks[1].value] = int(val)
         elif head.value == "gen":
             if len(toks) < 4 or toks[1].kind != "name" or toks[2].value != ":":
                 raise ParseError("expected: gen NAME : DEGREE", line_no, head.col)
             _once(toks[1].value in gen_decls, f"gen {toks[1].value}", head)
             deg = _ExprParser(toks, 3, line_no, dict(params)).parse()
-            if not isinstance(deg, Fraction) or deg.denominator != 1 or deg < 2:
+            if not isinstance(deg, _NUMBER) or deg.denominator != 1 or deg < 2:
                 raise ParseError(f"degree must be an integer >= 2, got {deg}", line_no, toks[3].col)
             gen_decls[toks[1].value] = int(deg)
         elif head.value == "d":
@@ -226,7 +233,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
             val = _ExprParser(toks, 3, line_no, symbols).parse()
         except StructureError as exc:
             raise ParseError(str(exc), line_no, 1) from exc
-        if isinstance(val, Fraction):
+        if isinstance(val, _NUMBER):
             if val != 0:
                 raise ParseError(f"d {gname} must be an algebra element", line_no, 1)
             val = free.zero()
@@ -241,7 +248,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
     if volume_tokens is not None:
         toks, line_no = volume_tokens
         volume = _ExprParser(toks, 1, line_no, symbols).parse()
-        if isinstance(volume, Fraction):
+        if isinstance(volume, _NUMBER):
             raise ParseError("volume must be an algebra element", line_no, 1)
 
     try:
@@ -256,7 +263,7 @@ def parse_element(alg: SullivanAlgebra, text: str) -> Element:
     symbols = {g.name: alg.gen(g.name) for g in alg.generators}
     toks = _tokenize(text, 1)
     v = _ExprParser(toks, 0, 1, symbols).parse()
-    if isinstance(v, Fraction):
+    if isinstance(v, _NUMBER):
         return alg.free.one().scale(v)
     return v
 
@@ -273,7 +280,7 @@ def parse_morphism(alg: SullivanAlgebra, text: str) -> dict:
             raise ParseError(f"unknown generator {gname!r}", line_no, toks[1].col)
         _once(gname in images, f"f {gname}", toks[0])
         val = _ExprParser(toks, 3, line_no, symbols).parse()
-        if isinstance(val, Fraction):
+        if isinstance(val, _NUMBER):
             val = alg.free.one().scale(val) if val else alg.free.zero()
         images[gname] = val
     for g in alg.generators:

@@ -20,11 +20,8 @@ from math import prod
 
 from .cohomology import VolumeForm
 from .gca import Element, StructureError, within
-from .poly import MPoly, add_terms, render_terms
+from .poly import ONE, ZERO, MPoly, add_terms, quotient, render_terms
 from .sullivan import SullivanAlgebra, apply_algebra_map, extend_derivation
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -75,12 +72,12 @@ def generic_ansatz(alg: SullivanAlgebra) -> EndoAnsatz:
     return EndoAnsatz(alg, tuple(rows), images, frozenset(diagonal))
 
 
-def _dedup_key(p: MPoly) -> frozenset:
-    """The terms of a nonzero p scaled so the smallest term key has coefficient 1."""
+def _dedup_key(p: MPoly) -> MPoly:
+    """A nonzero p scaled so the smallest term key has coefficient 1."""
     lead = p.terms[min(p.terms)]
     if lead == 1:
-        return frozenset(p.terms.items())
-    return frozenset((k, c / lead) for k, c in p.terms.items())
+        return p
+    return MPoly({k: quotient(c, lead) for k, c in p.terms.items()})
 
 
 def extract_constraints(alg: SullivanAlgebra, ansatz: EndoAnsatz) -> list:
@@ -266,7 +263,7 @@ def _from_sympy(expr) -> MPoly:
     out: dict = {}
     for term in expr.as_ordered_terms():
         coeff, factors = term.as_coeff_Mul()
-        q = Fraction(int(sympy.numer(coeff)), int(sympy.denom(coeff)))
+        q = quotient(int(sympy.numer(coeff)), int(sympy.denom(coeff)))
         exps = {}
         for f in sympy.Mul.make_args(factors):
             if f.is_Number:  # the 1 left by as_coeff_Mul on a constant term
@@ -313,12 +310,13 @@ class MonomialEquation:
     """prod v^exps[v] = const, with every v assumed nonzero."""
 
     exps: tuple   # sorted ((var, int exponent), ...), exponents may be negative
-    const: Fraction
+    const: int | Fraction
 
     def holds(self, assignment) -> bool:
+        # an int to a negative power is a float, so each power is taken as a Fraction
         lhs = ONE
         for v, e in self.exps:
-            lhs *= assignment[v] ** e
+            lhs *= Fraction(assignment[v]) ** e
         return lhs == self.const
 
 
@@ -331,7 +329,8 @@ def to_monomial_equation(p: MPoly):
     exps = dict(e1)
     for v, e in e2.items():
         exps[v] = exps.get(v, 0) - e
-    return MonomialEquation(tuple(sorted((v, e) for v, e in exps.items() if e)), -c2 / c1)
+    return MonomialEquation(tuple(sorted((v, e) for v, e in exps.items() if e)),
+                            quotient(-c2, c1))
 
 
 SIGN_BITS_CAP = 12  # free sign bits enumerated at most: 4096 sign vectors
@@ -342,7 +341,7 @@ class EnumerationCap(Exception):
 
 
 def solve_monomial_system(eqs) -> tuple:
-    """The exact solution set over the nonzero rationals: dicts var -> Fraction.
+    """The exact solution set over the nonzero rationals: dicts var -> rational.
 
     A nonzero rational is a sign bit and one valuation per prime, and each
     coordinate turns the system into A x = b for the integer exponent matrix
@@ -377,13 +376,18 @@ def solve_monomial_system(eqs) -> tuple:
     # valuations: numerator and denominator are coprime, their primes count up and down
     vals = [{**factorint(abs(c.numerator)), **{p: -e for p, e in factorint(c.denominator).items()}}
             for c in consts]
-    magnitudes = [ONE] * n
+    # each magnitude is numerator / denominator, prime by prime
+    nums, dens = [ONE] * n, [ONE] * n
     for p in {p for v in vals for p in v}:
         ub = times(U, [v.get(p, 0) for v in vals])
         if any(ub[n:]) or any(x % di for x, di in zip(ub, d)):
             return ()
         for j, e in enumerate(times(V, [x // di for x, di in zip(ub, d)])):
-            magnitudes[j] *= Fraction(p) ** e
+            if e > 0:
+                nums[j] *= p ** e
+            elif e < 0:
+                dens[j] *= p ** -e
+    magnitudes = list(map(quotient, nums, dens))
     ub = times(U, [int(c < 0) for c in consts])
     free = [i for i, di in enumerate(d) if di % 2 == 0]
     if any(x % 2 for x in ub[n:] + [ub[i] for i in free]):
@@ -438,7 +442,7 @@ class ConcreteMorphism:
 class MorphismReport:
     valid: bool
     failing: str | None
-    degree: Fraction | None
+    degree: int | Fraction | None
 
 
 def verify_morphism(alg: SullivanAlgebra, images: dict, vol: VolumeForm | None) -> MorphismReport:
@@ -479,7 +483,7 @@ def morphism_from_assignment(ansatz: EndoAnsatz, assignment: dict, label="") -> 
 class DegreeFamily:
     """Achievable degrees coeff * prod t_v^exps[v] over nonzero rational t."""
 
-    coeff: Fraction
+    coeff: int | Fraction
     exps: tuple  # sorted ((var, positive int), ...)
 
     def describe(self) -> str:
@@ -493,7 +497,7 @@ class DegreeFamily:
     def never_negative(self) -> bool:
         return self.coeff > 0 and all(e % 2 == 0 for _, e in self.exps)
 
-    def value_at(self, t: Fraction) -> Fraction:
+    def value_at(self, t):
         return self.coeff * prod(t ** e for _, e in self.exps)
 
 
@@ -516,7 +520,7 @@ class PolynomialFamily:
     def never_negative(self) -> bool:
         return all(e % 2 == 0 and c > 0 for e, c in self.coeffs if e or c)
 
-    def value_at(self, t: Fraction) -> Fraction:
+    def value_at(self, t):
         return sum((c * t ** e for e, c in self.coeffs), ZERO)
 
 
@@ -667,8 +671,7 @@ class _Explorer:
             sm = lam.as_single_monomial()
             if sm is not None:
                 family = DegreeFamily(sm[0], tuple(sorted(sm[1].items())))
-                samples = [(t, {v: t for v, _ in family.exps})
-                           for t in map(Fraction, FAMILY_SAMPLES)]
+                samples = [(t, {v: t for v, _ in family.exps}) for t in FAMILY_SAMPLES]
             elif (probe := self._poly_probe(lam)) is not None:
                 family, samples = probe
             else:
@@ -707,10 +710,10 @@ class _Explorer:
         if choice is None:
             return None
         v, family, odd, others = choice
-        samples = [Fraction(t) for t in FAMILY_SAMPLES + ((-2,) if odd else ())]
+        samples = list(FAMILY_SAMPLES + ((-2,) if odd else ()))
         if not family.never_negative and all(family.value_at(t) >= 0 for t in samples):
             # sign changes may only happen at non-integer rationals
-            cand = (Fraction(p, q) for q in (2, 3, 4) for p in range(-8, 9) if p)
+            cand = (quotient(p, q) for q in (2, 3, 4) for p in range(-8, 9) if p)
             neg = next((t for t in cand if family.value_at(t) < 0), None)
             if neg is not None:
                 samples.append(neg)

@@ -16,9 +16,8 @@ from fractions import Fraction
 from .endo import verify_morphism
 from .gca import Element, StructureError
 from .linalg import LinearSolver
+from .poly import ONE, quotient
 from .sullivan import SullivanAlgebra, dimension_formula, extend_derivation
-
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ class ScalingCertificate:
 
     base = 2
     images: dict      # name -> Element
-    degree: Fraction
+    degree: int | Fraction
 
     def family_description(self) -> str:
         vol_exp = self.degree_exponent()
@@ -112,7 +111,7 @@ class ScalingCertificate:
         e = 0
         d = self.degree
         while d > 1:
-            d /= self.base
+            d = quotient(d, self.base)
             e += 1
         return e
 
@@ -121,7 +120,7 @@ def scaling_images(alg: SullivanAlgebra, grading: LowerGrading, base: int) -> di
     images = {}
     for i, g in enumerate(alg.generators):
         exp = grading.degrees[i] + g.degree
-        images[g.name] = alg.gen(g.name).scale(Fraction(base) ** exp)
+        images[g.name] = alg.gen(g.name).scale(base ** exp)
     return images
 
 
@@ -149,7 +148,7 @@ def scaling_certificate(alg: SullivanAlgebra, grading: LowerGrading, vol) -> Sca
 @dataclass
 class MultipleCheck:
     k: int
-    degree: Fraction
+    degree: int | Fraction | None
     classes_checked: int
     failing: str | None
 
@@ -210,8 +209,8 @@ def multiple_family_verify(alg: SullivanAlgebra, grading: LowerGrading, vol,
     classes = None
     checks = []
     for k in ks:
-        base = Fraction(2 * k)
-        images = scaling_images(alg, grading, 2 * k)
+        base = 2 * k
+        images = scaling_images(alg, grading, base)
         report = verify_morphism(alg, images, vol)
         if not report.valid:
             checks.append(MultipleCheck(k, None, 0, report.failing))

@@ -3,24 +3,21 @@
 Monomials are exponent tuples aligned with a fixed, ordered generator list
 (declaration order).  Odd generators carry exponent 0 or 1; the Koszul sign
 of a product is the parity of the permutation that merges the two ordered
-odd-factor lists.  All coefficients are exact: ``fractions.Fraction`` for
-concrete elements, or any ring-like object (see :mod:`minmod.poly`) that
-supports ``+``, ``-``, ``*`` and truthiness for symbolic ones.
+odd-factor lists.  All coefficients are exact: an int, or a Fraction when
+not integral, for concrete elements (see :mod:`minmod.poly`), or any
+ring-like object such as an ``MPoly`` that supports ``+``, ``-``, ``*`` and
+truthiness for symbolic ones.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import le
 
-from .poly import Terms, render_terms
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .poly import ONE, ZERO, Terms, render_terms
 
 
 class StructureError(ValueError):

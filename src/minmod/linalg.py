@@ -2,21 +2,20 @@
 
 Gaussian elimination with back-substitution on sparse rows (Cohen, *A
 Course in Computational Algebraic Number Theory*, §2.2).  Equations come in
-and results go out as ``fractions.Fraction``; in between every row is an
-integer dict, reduced by cross-multiplication and kept primitive (the
-fraction-free elimination of Bareiss, Math. Comp. 22, 1968).  Pivot choice
-is deterministic (smallest variable key first), so particular solutions,
-ranks and kernel bases are reproducible across runs.
+and results go out as rationals: an int, or a Fraction when not integral
+(:mod:`minmod.poly`).  In between every row is an integer dict, reduced by
+cross-multiplication and kept primitive (the fraction-free elimination of
+Bareiss, Math. Comp. 22, 1968).  Pivot choice is deterministic (smallest
+variable key first), so particular solutions, ranks and kernel bases are
+reproducible across runs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .poly import ONE, ZERO, quotient
 
 
 class Inconsistent(Exception):
@@ -25,7 +24,7 @@ class Inconsistent(Exception):
 
 def _integer_row(row, rhs):
     """``(s*row, s*rhs, s)`` with integer entries, zeros dropped, for the
-    least positive ``s``; ``row`` and ``rhs`` hold Fractions or ints."""
+    least positive ``s``; ``row`` and ``rhs`` hold rationals."""
     items = [(k, c) for k, c in row.items() if c]
     s = rhs.denominator
     for _, c in items:
@@ -97,7 +96,7 @@ class LinearSolver:
         row, rhs, s = self._reduce(row, rhs)
         if not row:
             if rhs:
-                raise Inconsistent(f"0 == {Fraction(rhs, s)}")
+                raise Inconsistent(f"0 == {quotient(rhs, s)}")
             return
         v = min(row)
         g = gcd(rhs, *row.values())
@@ -116,7 +115,7 @@ class LinearSolver:
             prow, prhs = self.pivrows[v]
             t = (prhs if rhs else 0) - sum(c * x[k] for k, c in prow.items() if k in x)
             if t:
-                x[v] = Fraction(t) / prow[v]
+                x[v] = quotient(t, prow[v])
         return {v: x[v] for v in self.pivrows if v in x}
 
     def particular_solution(self) -> dict:

@@ -3,23 +3,38 @@
 ``Terms`` is the immutable ``{key: coefficient}`` sum behind both ``MPoly``
 and ``gca.Element``.  ``MPoly`` is the coefficient ring for symbolic self-map
 ansatz elements and the constraint language of the degree-spectrum solver.
-Its terms map a sorted ``((var, exp), ...)`` tuple to a nonzero Fraction;
+Its terms map a sorted ``((var, exp), ...)`` tuple to a nonzero rational;
 the empty tuple is the constant term.
+
+A rational coefficient is an int, or a Fraction when not integral: integer
+arithmetic is several times faster than Fraction arithmetic, and almost
+every coefficient is an integer.  Plain ``/`` between two ints gives a
+float, so every quotient goes through :func:`quotient`; a sum or product of
+Fractions may be integral, so :class:`Terms` stores such a value as an int.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
-def _as_fraction(x):
-    if isinstance(x, Fraction):
+def quotient(a, b):
+    """The exact quotient ``a / b`` of two rationals: an int when it is
+    integral, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _as_rational(x):
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
@@ -75,7 +90,11 @@ class Terms:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
-        _set_terms(self, dict(terms or {}))
+        terms = dict(terms or {})
+        for k, c in terms.items():  # a Fraction sum or product may be integral
+            if type(c) is Fraction and c.denominator == 1:
+                terms[k] = c.numerator
+        _set_terms(self, terms)
         _set_hash(self, None)
 
     def __setattr__(self, *a):
@@ -144,7 +163,7 @@ class MPoly(Terms):
 
     @staticmethod
     def const(q) -> "MPoly":
-        q = _as_fraction(q)
+        q = _as_rational(q)
         return MPoly({(): q} if q else {})
 
     @staticmethod
@@ -159,7 +178,7 @@ class MPoly(Terms):
         if isinstance(other, MPoly):
             return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.terms == ({(): _as_fraction(other)} if other else {})
+            return self.terms == ({(): other} if other else {})
         return NotImplemented
 
     __hash__ = Terms.__hash__
@@ -167,7 +186,7 @@ class MPoly(Terms):
 
     def __mul__(self, other):
         if not isinstance(other, MPoly):
-            return self.scale(_as_fraction(other))
+            return self.scale(_as_rational(other))
         terms: dict = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -187,7 +206,7 @@ class MPoly(Terms):
         return {v for k in self.terms for v, _ in k}
 
     def constant_value(self):
-        """The Fraction value if constant, else None."""
+        """The rational value if constant, else None."""
         if not self.terms:
             return ZERO
         if len(self.terms) == 1 and () in self.terms:
@@ -215,7 +234,7 @@ class MPoly(Terms):
     def eliminate(self, var, coeff) -> "MPoly":
         """Solve ``self == 0`` for the bare linear ``var``: the substitution value."""
         rest = MPoly({k: c for k, c in self.terms.items() if k != ((var, 1),)})
-        return rest.scale(Fraction(-1) / coeff)
+        return rest.scale(quotient(-1, coeff))
 
     def monomial_content(self) -> dict:
         """Variables (with multiplicity) dividing every term."""
@@ -260,7 +279,7 @@ class MPoly(Terms):
         return (c1, dict(k1)), (c2, dict(k2))
 
     def substitute(self, assignment: dict) -> "MPoly":
-        """Substitute variables by MPoly/Fraction values (others untouched)."""
+        """Substitute variables by MPoly or rational values (others untouched)."""
         if not any(v in assignment for k in self.terms for v, _ in k):
             return self
         out: dict = {}

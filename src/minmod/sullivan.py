@@ -9,14 +9,11 @@ contractible-pair elimination step used for rational fibrations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
 from operator import add, mul
 
 from .gca import Element, FreeGCA, Generator, StructureError, mul_terms
-from .poly import add_terms
-
-ZERO = Fraction(0)
+from .poly import ZERO, add_terms
 
 
 class ContractionError(ValueError):
@@ -319,7 +316,7 @@ def eliminate_contractible_pair(alg: SullivanAlgebra, w_name: str, x_name: str) 
         raise ContractionError(f"unknown generator {w_name!r} or {x_name!r}")
     dw = alg.diff[iw]
     x_mono = free.monomial(**{x_name: 1})
-    if dw.terms.get(x_mono) != Fraction(-1):
+    if dw.terms.get(x_mono) != -1:
         raise ContractionError(f"d({w_name}) must contain the term -{x_name}")
     m = alg.free.element({mo: c for mo, c in dw.terms.items() if mo != x_mono})
     for mono in m.terms:

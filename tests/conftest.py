@@ -1,10 +1,17 @@
 """Shared fixtures: catalog builds are cached so d-matrix caches are reused."""
 
+from fractions import Fraction
 from functools import lru_cache
 
 from minmod import catalog
 from minmod.cohomology import verify_volume_form
 from minmod.sullivan import ellipticity_certificate
+
+
+def canonical_rational(c) -> bool:
+    """The one form of an exact scalar: an int (not a bool), or a Fraction
+    whose denominator is not 1.  A float never is."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 @lru_cache(maxsize=None)

@@ -174,7 +174,15 @@ def test_replay_round_trip(capsys, tmp_path, argv):
     p = tmp_path / "report.json"
     p.write_text(out)
     code, out, _ = run(capsys, "replay", str(p))
-    assert code == PASS and "all certificates verify" in out
+    assert code == PASS and out == f"replayed {argv[0]}: {_replayed(argv[0])}\n"
+
+
+def _replayed(command):
+    """What a successful replay says it checked."""
+    if command == "spectrum":
+        return ("witnesses, spectrum and flexible verify; "
+                "classification and complete are not replayed")
+    return "all certificates verify"
 
 
 def test_replay_verify_round_trip(capsys, tmp_path):
@@ -355,7 +363,10 @@ def test_replay_rejected_volume_reruns_the_volume_check(capsys, tmp_path):
                                                               "certificates")], "algebra"),
     (("spectrum", "cp(n=2)"), lambda doc: doc.pop("witnesses"), "witnesses"),
     (("volume", "cp(n=2)"), lambda doc: doc.pop("functional"), "functional"),
-], ids=["bare-check", "spectrum-without-witnesses", "volume-without-functional"])
+    (("flex", "lower-grading"),
+     lambda doc: [m.pop(k) for m in doc["multiples"] for k in ("degree", "classes")], "degree"),
+], ids=["bare-check", "spectrum-without-witnesses", "volume-without-functional",
+        "flex-multiples-without-degree-and-classes"])
 def test_replay_rejects_a_report_without_its_command_fields(capsys, tmp_path, argv, tamper,
                                                            missing):
     code, out, err = _replay_tampered(capsys, tmp_path, argv, tamper)
@@ -445,6 +456,36 @@ def test_replay_flex_checks_multiples_and_exponent(capsys, tmp_path, tamper, rea
     code, out, _ = _replay_tampered(capsys, tmp_path, ("flex", "lower-grading"), tamper)
     assert code == FAIL
     assert out.splitlines() == [f"replay FAIL: {r}" for r in reasons]
+
+
+@pytest.mark.parametrize("argv,tamper,reasons", [
+    (("spectrum", "lemma(i=0)"),
+     lambda doc: doc.update(witnesses=[w for w in doc["witnesses"] if w["degree"] != "-1"]),
+     ["spectrum constant -1 has no witness of that degree"]),
+    (("spectrum", "cp(n=2)"), lambda doc: doc["spectrum"].append("3"),
+     ["spectrum constant 3 has no witness of that degree"]),
+    (("spectrum", "cp(n=2)"), lambda doc: doc.update(flexible=False),
+     ["flexible is True, the report says False"]),
+    (("spectrum", "lemma(i=0)"), lambda doc: doc.update(flexible=True),
+     ["flexible is False, the report says True"]),
+], ids=["constant-without-witness", "made-up-constant", "families-not-flexible",
+        "flexible-without-family"])
+def test_replay_spectrum_needs_a_witness_per_constant_and_flexible_as_families(
+        capsys, tmp_path, argv, tamper, reasons):
+    code, out, _ = _replay_tampered(capsys, tmp_path, argv, tamper)
+    assert code == FAIL
+    assert out.splitlines() == [f"replay FAIL: {r}" for r in reasons]
+
+
+def test_replay_spectrum_says_classification_and_complete_are_not_replayed(capsys, tmp_path):
+    # a cut-off case analysis edited to a complete Inflexible one still replays,
+    # since the case tree is not in the report, but the line says so
+    def complete(doc):
+        doc.update(classification="Inflexible", complete=True, verdict="pass")
+
+    argv = ("spectrum", "lemma(i=0)", "--case-depth", "0")
+    code, out, _ = _replay_tampered(capsys, tmp_path, argv, complete, emitted=INCONCLUSIVE)
+    assert (code, out) == (PASS, f"replayed spectrum: {_replayed('spectrum')}\n")
 
 
 def test_replay_never_computes_a_power_the_report_sets(capsys, tmp_path):

@@ -137,6 +137,15 @@ def test_rational_division_only_by_literals():
     af = parse_algebra("gen x : 2\n")
     with pytest.raises(ParseError):
         parse_element(af.algebra, "x/x")
+    assert parse_element(af.algebra, "x/2*4").terms == {(1,): 2}
+
+
+@pytest.mark.parametrize("text", ["x/0", "x/(1-1)", "3/(2-2)*x"])
+def test_division_by_zero_is_a_parse_error(text):
+    af = parse_algebra("gen x : 2\n")
+    with pytest.raises(ParseError) as exc:
+        parse_element(af.algebra, text)
+    assert str(exc.value).startswith("division by zero (line 1, column ")
 
 
 def test_round_trip():

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ALL_KEYS, built, certified
+from conftest import ALL_KEYS, built, canonical_rational, certified
 from minmod import endo
+from minmod.cli import main
 from minmod.cohomology import betti, top_class_coefficient, verify_volume_form
 from minmod.dsl import parse_morphism
 from minmod.endo import (CaseContext, Contradiction, EnumerationCap,
@@ -15,7 +16,7 @@ from minmod.endo import (CaseContext, Contradiction, EnumerationCap,
                          solve_monomial_system, to_monomial_equation,
                          verify_morphism, volume_degree_polynomial)
 from minmod.linalg import LinearSolver
-from minmod.poly import MPoly
+from minmod.poly import MPoly, Terms
 from minmod.sullivan import apply_algebra_map, ellipticity_certificate, tensor_product
 
 ONE = Fraction(1)
@@ -131,6 +132,14 @@ def test_monomial_system_negative_constant(exponent, const, want):
     # factorint(-n) lists -1 as a prime, which has no valuation: only |c| is factored
     eq = MonomialEquation((("a", exponent),), Fraction(const))
     assert solve_monomial_system([eq]) == want
+
+
+def test_monomial_equation_holds_exactly_for_int_values_and_negative_exponents():
+    # a/b = 1/3 at a = 1, b = 3; 3 ** -1 is a float, and 1 * 0.333... != 1/3
+    eq = MonomialEquation((("a", 1), ("b", -1)), Fraction(1, 3))
+    assert eq.holds({"a": 1, "b": 3})
+    assert not eq.holds({"a": 1, "b": 2})
+    assert MonomialEquation((("a", -2),), Fraction(1, 4)).holds({"a": -2})
 
 
 def _unit_squares(n):
@@ -360,6 +369,29 @@ def test_pruned_degree_matches_full_expansion_on_product_case_trees(monkeypatch,
     for ctx in reached:
         assert volume_degree_polynomial(prod, ansatz, pvol, ctx) == \
             _full_expansion_degree(prod, ansatz, pvol, ctx), ctx.assumptions
+
+
+def test_every_coefficient_is_an_int_or_a_fraction_that_is_not_integral(monkeypatch, capsys):
+    # one representation in every stored coefficient: a float from a plain int
+    # division, or a bool, anywhere in the pipeline would reach some sum or
+    # product of these runs
+    bad = []
+    init = Terms.__init__
+
+    def checked(self, terms=None):
+        init(self, terms)
+        bad.extend((type(self).__name__, c) for c in self.terms.values()
+                   if not isinstance(c, Terms) and not canonical_rational(c))
+
+    monkeypatch.setattr(Terms, "__init__", checked)
+    for key, params in ALL_KEYS:
+        spec = f"{key}({','.join(f'{k}={v}' for k, v in params.items())})" if params else key
+        for command in ("check", "volume", "spectrum", "flex"):
+            main([command, spec])
+    for left, right in PRODUCT_PAIRS:
+        degree_spectrum(*_product(left, right), SolverConfig(node_budget=400))
+    capsys.readouterr()
+    assert not bad, bad[:5]
 
 
 def _certified_volume_cases():

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from minmod.gca import FreeGCA, Generator
-from minmod.poly import MPoly
+from minmod.poly import MPoly, quotient
 
 
 def test_ring_ops():
@@ -21,6 +21,24 @@ def test_constant_value():
     assert MPoly.const(Fraction(3, 2)).constant_value() == Fraction(3, 2)
     assert MPoly().constant_value() == 0
     assert MPoly.var("k1").constant_value() is None
+
+
+def test_coefficients_are_ints_unless_a_quotient_is_not_integral():
+    k1, k2 = MPoly.var("k1"), MPoly.var("k2")
+    half = (k1 + 3 * k2).scale(Fraction(1, 2))
+    assert [type(c) for c in half.terms.values()] == [Fraction, Fraction]
+    # a Fraction product or sum that is integral is stored as an int
+    for p in (half * 2, half + half, half * MPoly.const(Fraction(4))):
+        assert all(type(c) is int for c in p.terms.values()), p
+    assert type(MPoly.const(Fraction(6, 3)).constant_value()) is int
+    assert [type(c) for c in MPoly.var("k1").terms.values()] == [int]
+    assert (quotient(6, 3), quotient(3, 6), quotient(Fraction(3, 2), Fraction(3, 4))) == \
+        (2, Fraction(1, 2), 2)
+    assert type(quotient(6, 3)) is int and type(quotient(Fraction(3, 2), Fraction(3, 4))) is int
+    # eliminating against a coefficient of 2 halves the rest, exactly
+    elim = (2 * k1 + 4 * k2 + 1).eliminate("k1", 2)
+    assert elim.terms == {(("k2", 1),): -2, (): Fraction(-1, 2)}
+    assert type(elim.terms[(("k2", 1),)]) is int
 
 
 def test_variables():

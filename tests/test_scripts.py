@@ -102,7 +102,7 @@ print(before, "sympy" in sys.modules)
     ("str(endo._from_sympy(endo._to_sympy(Fraction(3, 2)*k1**2*k2 - k2 + 5)))",
      "'5 + 3/2*k1^2*k2 - k2'"),
     ("endo.solve_monomial_system([endo.MonomialEquation(((\"a\", 3),), Fraction(-8))])",
-     "({'a': Fraction(-2, 1)},)"),
+     "({'a': -2},)"),
 ], ids=["factor_constraint", "reduce_modulo", "round_trip", "solve_monomial_system"])
 def test_case_solver_loads_sympy_on_first_use(expr, want):
     out = _run_without_install("-c", FIRST_SYMPY_USER.format(expr=expr), cwd=SRC)
