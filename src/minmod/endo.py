@@ -536,6 +536,7 @@ class CaseLeaf:
 
 UNVERIFIED = "witness did not verify"
 OUTSIDE_FRAGMENT = "degree outside the supported fragment"
+NOT_CLOSED = "spectrum not closed under composition"
 
 
 def _open_leaf(ctx, polys, reason) -> CaseLeaf:
@@ -761,7 +762,12 @@ def degree_spectrum(alg: SullivanAlgebra, vol: VolumeForm,
                 families.append(f)
     # every family has a free unknown in its degree, so any family is unbounded
     flexible = bool(families)
-    if complete and not flexible and set(constants) <= {ZERO, ONE, -ONE}:
+    # deg(f o g) = deg f * deg g, so the powers of a map of degree q reach every
+    # q^k: a complete spectrum without a family lies in {-1, 0, 1}
+    if complete and not flexible and not set(constants) <= {ZERO, ONE, -ONE}:
+        leaves = [*leaves, CaseLeaf((), False, residual=(NOT_CLOSED,))]
+        complete = False
+    if complete and not flexible:
         classification = "Inflexible"
     elif complete and all(f.never_negative for f in families) and all(q >= 0 for q in constants):
         classification = "NoOrientationReversal"

@@ -15,9 +15,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import le
+from operator import add, le
 
-from .poly import ONE, ZERO, Terms, render_terms
+from .poly import ONE, Terms, add_terms, render_terms
 
 
 class StructureError(ValueError):
@@ -75,21 +75,6 @@ class FreeGCA:
                 raise StructureError(f"odd generator {name} squared")
             vec[i] = e
         return tuple(vec)
-
-    def mul_monomials(self, m1, m2):
-        """Product of two monomials: ``(sign, monomial)`` or ``None`` when it vanishes."""
-        if len(m1) != len(self.generators) or len(m2) != len(self.generators):
-            raise StructureError("monomial over a different generator set")
-        odd1 = [i for i in self.odd_indices if m1[i]]
-        crossings = 0
-        for j in self.odd_indices:
-            if m2[j]:
-                if m1[j]:
-                    return None
-                # odd factors of m1 that j has to move past
-                crossings += len(odd1) - bisect_right(odd1, j)
-        sign = -1 if crossings % 2 else 1
-        return sign, tuple(a + b for a, b in zip(m1, m2))
 
     def monomial_str(self, mono) -> str:
         if not any(mono):
@@ -175,24 +160,33 @@ def within(mono, box) -> bool:
 
 def mul_terms(alg: FreeGCA, terms1: dict, terms2: dict, box=None) -> dict:
     """The product of two ``{monomial: coefficient}`` dicts as a new dict;
-    with a ``box``, only the monomials :func:`within` it."""
+    with a ``box``, only the monomials :func:`within` it.  A pair vanishes on
+    a shared odd factor, else its Koszul sign counts the left odd factors
+    after each right one; the odd positions are found once per right
+    monomial and once per left row, not once per pair."""
+    if not terms1 or not terms2:
+        return {}
+    n, odd = len(alg.generators), alg.odd_indices
+    right = []
+    for m2, c2 in terms2.items():
+        if len(m2) != n:
+            raise StructureError("monomial over a different generator set")
+        right.append((m2, c2, [j for j in odd if m2[j]]))
     terms: dict = {}
     for m1, c1 in terms1.items():
-        for m2, c2 in terms2.items():
-            sm = alg.mul_monomials(m1, m2)
-            if sm is None:
-                continue
-            sign, m = sm
-            if box is not None and not within(m, box):
-                continue
-            c = c1 * c2
-            if sign < 0:
-                c = -c
-            s = terms.get(m, ZERO) + c
-            if s:
-                terms[m] = s
+        if len(m1) != n:
+            raise StructureError("monomial over a different generator set")
+        odd1 = [i for i in odd if m1[i]]
+        for m2, c2, odd2 in right:
+            crossings = 0
+            for j in odd2:
+                if m1[j]:
+                    break
+                crossings += len(odd1) - bisect_right(odd1, j)
             else:
-                terms.pop(m, None)
+                m = tuple(map(add, m1, m2))
+                if box is None or within(m, box):
+                    add_terms(terms, ((m, -(c1 * c2) if crossings % 2 else c1 * c2),))
     return terms
 
 

@@ -6,16 +6,17 @@ ansatz elements and the constraint language of the degree-spectrum solver.
 Its terms map a sorted ``((var, exp), ...)`` tuple to a nonzero rational;
 the empty tuple is the constant term.
 
-A rational coefficient is an int, or a Fraction when not integral: integer
-arithmetic is several times faster than Fraction arithmetic, and almost
-every coefficient is an integer.  Plain ``/`` between two ints gives a
-float, so every quotient goes through :func:`quotient`; a sum or product of
-Fractions may be integral, so :class:`Terms` stores such a value as an int.
+A rational coefficient is an int, or a Fraction when not integral: most are
+integers, and int arithmetic is several times faster.  Every quotient goes
+through :func:`quotient` (``/`` of ints is a float); :class:`Terms` stores an
+integral Fraction as an int.  :meth:`MPoly.substitute` is one dict-to-dict
+pass, with the powers of each polynomial value cached per call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 ZERO = 0
 ONE = 1
@@ -46,15 +47,29 @@ def _mul_keys(k1, k2):
 
 
 def add_terms(acc: dict, pairs) -> dict:
-    """Merge ``(key, coefficient)`` pairs into ``acc`` in place, dropping the
-    keys whose sum is zero; returns ``acc``."""
+    """Merge ``(key, coefficient)`` pairs into ``acc`` in place and return it,
+    dropping zero sums; a new key takes ``c`` itself, as ``0 + c`` copies."""
     for k, c in pairs:
-        s = acc.get(k, ZERO) + c
+        s = acc.get(k)
+        s = c if s is None else s + c
         if s:
             acc[k] = s
         else:
             acc.pop(k, None)
     return acc
+
+
+def _product(terms1: dict, terms2: dict) -> dict:
+    terms: dict = {}
+    for k1, c1 in terms1.items():
+        for k2, c2 in terms2.items():
+            k = _mul_keys(k1, k2)
+            s = terms.get(k, ZERO) + c1 * c2
+            if s:
+                terms[k] = s
+            else:
+                terms.pop(k, None)
+    return terms
 
 
 def render_terms(pairs) -> str:
@@ -187,16 +202,7 @@ class MPoly(Terms):
     def __mul__(self, other):
         if not isinstance(other, MPoly):
             return self.scale(_as_rational(other))
-        terms: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = _mul_keys(k1, k2)
-                s = terms.get(k, ZERO) + c1 * c2
-                if s:
-                    terms[k] = s
-                else:
-                    terms.pop(k, None)
-        return MPoly(terms)
+        return MPoly(_product(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -207,11 +213,9 @@ class MPoly(Terms):
 
     def constant_value(self):
         """The rational value if constant, else None."""
-        if not self.terms:
-            return ZERO
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
-        return None
+        if len(self.terms) > 1 or (self.terms and () not in self.terms):
+            return None
+        return self.terms.get((), ZERO)
 
     def bare_linear_var(self):
         """A variable appearing exactly once, as a term ``c*v``: ``(v, c)``.
@@ -238,17 +242,13 @@ class MPoly(Terms):
 
     def monomial_content(self) -> dict:
         """Variables (with multiplicity) dividing every term."""
-        if not self.terms:
-            return {}
-        content = None
-        for k in self.terms:
+        keys = iter(self.terms)
+        content = dict(next(keys, ()))
+        for k in keys:
             exps = dict(k)
-            if content is None:
-                content = exps
-            else:
-                content = {v: min(e, exps[v]) for v, e in content.items() if v in exps}
+            content = {v: min(e, exps[v]) for v, e in content.items() if v in exps}
             if not content:
-                return {}
+                break
         return content
 
     def divide_monomial(self, exps: dict) -> "MPoly":
@@ -279,23 +279,29 @@ class MPoly(Terms):
         return (c1, dict(k1)), (c2, dict(k2))
 
     def substitute(self, assignment: dict) -> "MPoly":
-        """Substitute variables by MPoly or rational values (others untouched)."""
+        """Substitute variables by MPoly or rational values, simultaneously:
+        values are not substituted into each other (others untouched)."""
         if not any(v in assignment for k in self.terms for v, _ in k):
             return self
+        powers: dict = {}  # (var, e) -> value**e: a scalar, or a polynomial's terms
         out: dict = {}
         for k, c in self.terms.items():
-            if not any(v in assignment for v, _ in k):
-                pairs = ((k, c),)
-            else:
-                rest = tuple((v, e) for v, e in k if v not in assignment)
-                prod = MPoly({rest: c})
-                for v, e in k:
-                    if v in assignment:
-                        val = self._coerce(assignment[v])
-                        for _ in range(e):
-                            prod = prod * val
-                pairs = prod.terms.items()
-            add_terms(out, pairs)
+            factors = []
+            for v, e in k:
+                if v not in assignment:
+                    continue
+                p = powers.get((v, e))
+                if p is None:
+                    val = self._coerce(assignment[v])
+                    q = val.constant_value()
+                    p = powers[v, e] = reduce(_product, [val.terms] * e) if q is None else q ** e
+                if type(p) is dict:
+                    factors.append(p)
+                else:
+                    c = c * p
+            if c:
+                rest = tuple(f for f in k if f[0] not in assignment)
+                add_terms(out, reduce(_product, factors, {rest: c}).items())
         return MPoly(out)
 
     def __str__(self):

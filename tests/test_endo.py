@@ -9,7 +9,7 @@ from minmod import endo
 from minmod.cli import main
 from minmod.cohomology import betti, top_class_coefficient, verify_volume_form
 from minmod.dsl import parse_morphism
-from minmod.endo import (CaseContext, Contradiction, EnumerationCap,
+from minmod.endo import (CaseContext, CaseLeaf, Contradiction, DegreeFamily, EnumerationCap,
                          MonomialEquation, SolverConfig, _Explorer,
                          degree_spectrum, extract_constraints, factor_constraint,
                          generic_ansatz, morphism_from_assignment, simplify,
@@ -467,3 +467,46 @@ def test_each_blocking_polynomial_is_factored_once_per_spectrum(monkeypatch):
     # the cache belongs to one exploration: a second spectrum factors again
     degree_spectrum(prod, pvol, SolverConfig(node_budget=400))
     assert len(calls) == 46
+
+
+def test_witnesses_compose_to_morphisms_of_the_product_degree():
+    # deg(f o g) = deg f * deg g; the composites are maps the solver never
+    # emitted, so they exercise the Koszul product and the degree read-off
+    # on new input
+    composed = []
+    for name, alg, vol, cfg in _certified_volume_cases():
+        witnesses = [w for leaf in degree_spectrum(alg, vol, cfg).leaves for w in leaf.witnesses]
+        for f, deg_f in witnesses:
+            for g, deg_g in witnesses:
+                images = {x: apply_algebra_map(alg, f.images, img) for x, img in g.images.items()}
+                rep = verify_morphism(alg, images, vol)
+                assert rep.valid and rep.degree == deg_f * deg_g, (name, f.label, g.label)
+        composed.append(len(witnesses) ** 2)
+    # the ten catalog entries, then the three products
+    assert sum(composed[:len(ALL_KEYS)]) == 166 and sum(composed) == 2379
+
+
+def test_complete_spectrum_without_a_family_outside_the_units_stays_open(monkeypatch, capsys):
+    # a map of degree 2 has powers of degree 4, 8, ...: a complete spectrum
+    # {0, 1, 2} with no family can only come from a defect
+    leaves = [CaseLeaf(("k1 = 0",), True, degrees=(0,)),
+              CaseLeaf(("k1 != 0",), True, degrees=(1, 2))]
+    monkeypatch.setattr(_Explorer, "run", lambda self, constraints: list(leaves))
+    af, _, vol = certified("lemma", i=0)
+    v = degree_spectrum(af.algebra, vol)
+    assert (v.classification, v.complete, v.spectrum) == ("Inconclusive", False, (0, 1, 2))
+    assert [leaf.residual for leaf in v.leaves if not leaf.resolved] == [
+        ("spectrum not closed under composition",)]
+    assert main(["spectrum", "lemma(i=0)"]) == 2
+    assert ("first unresolved case: no assumptions -- spectrum not closed under composition"
+            in capsys.readouterr().out)
+    # inside {-1, 0, 1}, with a family, or already incomplete: classified as before
+    leaves[1] = CaseLeaf(("k1 != 0",), True, degrees=(-1, 1))
+    assert degree_spectrum(af.algebra, vol).classification == "Inflexible"
+    family = DegreeFamily(1, (("k1", 2),))
+    leaves[1] = CaseLeaf(("k1 != 0",), True, degrees=(1, 2), families=(family,))
+    v = degree_spectrum(af.algebra, vol)
+    assert (v.classification, v.complete) == ("NoOrientationReversal", True)
+    leaves[1] = CaseLeaf(("k1 != 0",), False, degrees=(2,), residual=("case depth exceeded",))
+    v = degree_spectrum(af.algebra, vol)
+    assert [leaf.residual for leaf in v.leaves if not leaf.resolved] == [("case depth exceeded",)]

@@ -11,14 +11,19 @@ rows with an index of the rows each variable occurs in,
 Element products, and ``is_exact``, ``top_functional_from_volume`` and
 ``TopFunctional.replay_annihilates_d`` on the full matrix of d in one
 degree; ``solve_monomial_system`` is a rank check, one ``LinearSolver``
-solve per prime of the constants and a GF(2) eliminator for the signs.
+solve per prime of the constants and a GF(2) eliminator for the signs;
+``MPoly.substitute`` builds a one-term ``MPoly`` per term and multiplies it
+by each value one power at a time, and ``mul_terms`` finds the sign of each
+pair of monomials from scratch.
 """
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import ALL_KEYS, built, canonical_rational, certified
 from minmod.cohomology import (ExactnessWitness, TopFunctional, d_matrix, is_closed,
@@ -26,8 +31,10 @@ from minmod.cohomology import (ExactnessWitness, TopFunctional, d_matrix, is_clo
 from minmod.endo import (SIGN_BITS_CAP, EnumerationCap, MonomialEquation, generic_ansatz,
                          solve_monomial_system)
 from minmod.flexcert import bigraded_cohomology_basis, construct_lower_grading, scaling_images
-from minmod.gca import Element, FreeGCA, Generator, _even_fills, mul_terms
+from minmod.gca import (Element, FreeGCA, Generator, StructureError, _even_fills,
+                        mul_terms, within)
 from minmod.linalg import Inconsistent, LinearSolver, _integer_row
+from minmod.poly import MPoly, add_terms
 from minmod.sullivan import (SullivanAlgebra, apply_algebra_map, dimension_formula,
                              ellipticity_certificate, extend_derivation, tensor_product)
 
@@ -941,3 +948,135 @@ def test_replay_annihilates_d_matches_full_matrix_reference(key, params):
     for phi in tampered:
         f = TopFunctional(alg, phi)
         assert f.replay_annihilates_d() == reference_replay_annihilates_d(f, vol.degree)
+
+
+def reference_substitute(p, assignment):
+    if not any(v in assignment for k in p.terms for v, _ in k):
+        return p
+    out = {}
+    for k, c in p.terms.items():
+        if not any(v in assignment for v, _ in k):
+            pairs = ((k, c),)
+        else:
+            rest = tuple((v, e) for v, e in k if v not in assignment)
+            term = MPoly({rest: c})
+            for v, e in k:
+                if v in assignment:
+                    value = assignment[v]
+                    val = value if isinstance(value, MPoly) else MPoly.const(value)
+                    for _ in range(e):
+                        term = term * val
+            pairs = term.terms.items()
+        add_terms(out, pairs)
+    return MPoly(out)
+
+
+UNKNOWNS = ("k1", "k2", "k3", "k4")
+INTEGERS = st.integers(-6, 6)
+NON_INTEGRAL = st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(
+    lambda q: q.denominator > 1)
+
+
+@st.composite
+def polynomials(draw, max_terms=4):
+    """An MPoly in ``UNKNOWNS`` with exponents up to 4."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        factors = draw(st.lists(st.tuples(st.sampled_from(UNKNOWNS), st.integers(1, 4)),
+                                max_size=3, unique_by=lambda f: f[0]))
+        terms[tuple(sorted(factors))] = draw(st.one_of(INTEGERS, NON_INTEGRAL).filter(bool))
+    return MPoly(terms)
+
+
+# a value may mention the other substituted unknowns, which pins that the
+# substitution is simultaneous: values are not substituted into each other
+VALUES = st.one_of(st.just(0), INTEGERS, NON_INTEGRAL,
+                   st.one_of(INTEGERS, NON_INTEGRAL).map(MPoly.const),
+                   polynomials(max_terms=3).filter(lambda p: p.constant_value() is None))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(polynomials(), st.dictionaries(st.sampled_from(UNKNOWNS + ("k9",)), VALUES, max_size=3))
+def test_substitute_matches_power_by_power_reference(p, assignment):
+    new = p.substitute(assignment)
+    assert new == reference_substitute(p, assignment)
+    if not p.variables() & assignment.keys():
+        assert new is p
+
+
+def test_substitute_rejects_a_value_that_is_not_rational():
+    k1, k2 = MPoly.var("k1"), MPoly.var("k2")
+    with pytest.raises(TypeError):
+        (k1 * k2).substitute({"k1": 0.5})
+    # also when another factor of the term is zero
+    with pytest.raises(TypeError):
+        (k1 * k2).substitute({"k1": 0, "k2": 0.5})
+
+
+def reference_mul_monomials(alg, m1, m2):
+    if len(m1) != len(alg.generators) or len(m2) != len(alg.generators):
+        raise StructureError("monomial over a different generator set")
+    odd1 = [i for i in alg.odd_indices if m1[i]]
+    crossings = 0
+    for j in alg.odd_indices:
+        if m2[j]:
+            if m1[j]:
+                return None
+            crossings += len(odd1) - bisect_right(odd1, j)
+    return -1 if crossings % 2 else 1, tuple(a + b for a, b in zip(m1, m2))
+
+
+def reference_mul_terms(alg, terms1, terms2, box=None):
+    terms = {}
+    for m1, c1 in terms1.items():
+        for m2, c2 in terms2.items():
+            sm = reference_mul_monomials(alg, m1, m2)
+            if sm is None:
+                continue
+            sign, m = sm
+            if box is not None and not within(m, box):
+                continue
+            c = c1 * c2
+            if sign < 0:
+                c = -c
+            s = terms.get(m, ZERO) + c
+            if s:
+                terms[m] = s
+            else:
+                terms.pop(m, None)
+    return terms
+
+
+MIXED = FreeGCA([Generator("a", 3), Generator("b", 2), Generator("c", 3), Generator("d", 5),
+                 Generator("e", 4), Generator("f", 7)])
+
+
+@st.composite
+def monomial_terms(draw):
+    """A ``{monomial: coefficient}`` dict over ``MIXED``, with rational or
+    ``MPoly`` coefficients."""
+    exps = [st.integers(0, 1) if g.is_odd else st.integers(0, 3) for g in MIXED.generators]
+    monos = draw(st.lists(st.tuples(*exps), max_size=5, unique=True))
+    coeffs = st.one_of(INTEGERS, NON_INTEGRAL, polynomials(max_terms=2)).filter(bool)
+    return {m: draw(coeffs) for m in monos}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(monomial_terms(), monomial_terms(),
+       st.none() | st.tuples(*[st.integers(0, 4)] * len(MIXED.generators)))
+def test_mul_terms_matches_pairwise_reference(terms1, terms2, box):
+    new = mul_terms(MIXED, terms1, terms2, box)
+    # equal terms in the same order, so everything downstream iterates alike
+    assert list(new.items()) == list(reference_mul_terms(MIXED, terms1, terms2, box).items())
+
+
+def test_mul_terms_odd_square_vanishes_and_foreign_monomials_raise():
+    a, c = MIXED.monomial(a=1), MIXED.monomial(c=1)
+    ac = MIXED.monomial(a=1, c=1)
+    assert mul_terms(MIXED, {a: 2}, {a: 3}) == {}
+    assert mul_terms(MIXED, {ac: 1}, {c: 1, a: 1}) == {}
+    assert mul_terms(MIXED, {c: 1}, {a: 1}) == {ac: -1}
+    with pytest.raises(StructureError):
+        mul_terms(MIXED, {a: 1}, {(1, 0): 1})
+    with pytest.raises(StructureError):
+        mul_terms(MIXED, {(1, 0): 1}, {a: 1})

@@ -80,6 +80,10 @@ def test_substitute():
     assert p.substitute({"k1": Fraction(2)}) == k2 + 4
     assert p.substitute({"k2": k1}) == k1 ** 2 + k1
     assert p.substitute({"k9": Fraction(5)}) is p  # untouched fast path
+    # simultaneous: the values are not substituted into each other
+    assert p.substitute({"k1": k2, "k2": k1}) == k2 ** 2 + k1
+    assert p.substitute({"k1": MPoly(), "k2": MPoly.const(Fraction(1, 2))}) == Fraction(1, 2)
+    assert (k1 ** 4 * k2).substitute({"k1": k2 + 1}) == (k2 + 1) ** 4 * k2
 
 
 def test_str_round_trip_shape():
