@@ -49,6 +49,12 @@ def _q(x) -> str:
     return str(Fraction(x))
 
 
+def _nonnegative_int(text) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not a nonnegative integer: {text!r}")
+    return int(text)
+
+
 _CATALOG_SPEC = re.compile(r"^([A-Za-z0-9-]+)(?:\((.*)\))?$")
 
 
@@ -596,12 +602,12 @@ def build_parser() -> _Parser:
 
     alg_cmd("check", cmd_check)
     alg_cmd("dim", cmd_dim)
-    alg_cmd("betti", cmd_betti, **{"--max-degree": dict(type=int, default=None)})
+    alg_cmd("betti", cmd_betti, **{"--max-degree": dict(type=_nonnegative_int, default=None)})
     p = alg_cmd("exact", cmd_exact)
     p.add_argument("expression")
     alg_cmd("volume", cmd_volume)
     alg_cmd("spectrum", cmd_spectrum,
-            **{"--case-depth": dict(type=int, default=SolverConfig.case_depth)})
+            **{"--case-depth": dict(type=_nonnegative_int, default=SolverConfig.case_depth)})
     alg_cmd("flex", cmd_flex)
     p = alg_cmd("verify", cmd_verify)
     p.add_argument("morphism", help="file of `f NAME = EXPR` lines")

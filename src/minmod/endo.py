@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 
 from .cohomology import VolumeForm
 from .gca import Element, StructureError, within
-from .poly import ONE, ZERO, MPoly, add_terms, quotient, render_terms
+from .poly import ONE, ZERO, MPoly, quotient, render_terms
 from .sullivan import SullivanAlgebra, apply_algebra_map, extend_derivation
 
 
@@ -243,63 +243,76 @@ def simplify(constraints, ctx: CaseContext):
 
 
 # -- sympy-backed factoring ------------------------------------------------
-# sympy is imported inside each function that uses it, so that a process
-# which never splits a case never pays for loading it.
+# A polynomial crosses to sympy's sparse polynomial rings (sympy.polys.rings)
+# dict to dict, with no symbolic expression on either side.  sympy is
+# imported inside each function that uses it, so that a process which never
+# splits a case never pays for loading it.
 
 
-def _to_sympy(p: MPoly):
-    import sympy
+def _to_ring(p: MPoly, ring):
+    """p as an element of a sympy ``PolyRing`` whose generators include its unknowns."""
+    at = {str(x): i for i, x in enumerate(ring.symbols)}
+    terms = {}
+    for k, c in p.terms.items():
+        exps = [0] * ring.ngens
+        for v, e in k:
+            exps[at[v]] = e
+        terms[tuple(exps)] = c
+    return ring.from_dict(terms)
 
-    # one flat Add: adding term by term costs time quadratic in the term count
-    return sympy.Add(*(sympy.Mul(sympy.Rational(c.numerator, c.denominator),
-                                 *(sympy.Symbol(v) ** e for v, e in k))
-                       for k, c in p.terms.items()))
 
-
-def _from_sympy(expr) -> MPoly:
-    import sympy
-
-    expr = sympy.expand(expr)
-    out: dict = {}
-    for term in expr.as_ordered_terms():
-        coeff, factors = term.as_coeff_Mul()
-        q = quotient(int(sympy.numer(coeff)), int(sympy.denom(coeff)))
-        exps = {}
-        for f in sympy.Mul.make_args(factors):
-            if f.is_Number:  # the 1 left by as_coeff_Mul on a constant term
-                continue
-            base, e = f.as_base_exp()
-            exps[str(base)] = exps.get(str(base), 0) + int(e)
-        key = tuple(sorted((v, e) for v, e in exps.items() if e))
-        add_terms(out, ((key, q),))
-    return MPoly(out)
+def _from_ring(f) -> MPoly:
+    names = [str(x) for x in f.ring.symbols]
+    return MPoly({tuple(sorted((v, e) for v, e in zip(names, exps) if e)):
+                  quotient(int(c.numerator), int(c.denominator)) for exps, c in f.items()})
 
 
 def factor_constraint(p: MPoly) -> list:
-    """Distinct irreducible factors over Q (constants and multiplicity dropped)."""
-    import sympy
+    """Distinct irreducible factors over Q (constants and multiplicity dropped).
 
-    _, factors = sympy.factor_list(_to_sympy(p))
-    return [_from_sympy(base) for base, _ in factors]
+    The case tree explores one branch per factor, in this order, so the
+    order fixes that of leaves, witnesses and families in a report.  It is
+    the order of sympy's ``factor_list``: each unknown of the monomial
+    content is a factor, and the cofactor, its denominators cleared, is
+    factored over Z in lex order on generators in sympy's order (by name,
+    then by numeric suffix: k2 < k10).  All factors are then sorted by
+    (length of the dense representation, number of generators, multiplicity,
+    dense representation), and ties keep the unknowns' name order.
+    """
+    from sympy.polys.polyutils import _sort_gens
+    from sympy.polys.rings import PolyRing
+
+    content = p.monomial_content()
+    cofactor = p.divide_monomial(content)
+    # the key of v^e: dense representation [1, 0] on one generator, multiplicity e
+    pieces = [((2, 1, e, [1, 0]), MPoly.var(v)) for v, e in sorted(content.items())]
+    names = _sort_gens(cofactor.variables())
+    if names:
+        cofactor = cofactor.scale(lcm(*(c.denominator for c in cofactor.terms.values())))
+        _, factors = _to_ring(cofactor, PolyRing(names, "ZZ", "lex")).factor_list()
+        pieces += [((len(rep := f.to_dense()), len(names), k, rep), _from_ring(f))
+                   for f, k in factors]
+    return [f for _, f in sorted(pieces, key=lambda piece: piece[0])]
 
 
 def reduce_modulo(p: MPoly, polys) -> MPoly:
-    """Remainder of p modulo the ideal of the given constraints.
+    """Remainder of p modulo the ideal of the given constraints: its normal
+    form by a Groebner basis over Q, grevlex on the unknowns in name order.
 
     p and the remainder agree on the constraint variety, so the mapping
     degree may be read off the remainder; in particular a zero remainder
     proves the degree vanishes on the whole case.
     """
-    import sympy
+    from sympy.polys.groebnertools import groebner
+    from sympy.polys.rings import PolyRing
 
     polys = [q for q in polys if q]
     if not polys or not p:
         return p
     names = sorted({v for q in polys for v in q.variables()} | p.variables())
-    gens = [sympy.Symbol(v) for v in names]
-    basis = sympy.groebner([_to_sympy(q) for q in polys], *gens, order="grevlex")
-    _, remainder = basis.reduce(_to_sympy(p))
-    return _from_sympy(remainder)
+    ring = PolyRing(names, "QQ", "grevlex")
+    basis = groebner([_to_ring(q, ring) for q in polys], ring)
+    return _from_ring(_to_ring(p, ring).rem(basis))
 
 
 # -- monomial equation systems ---------------------------------------------

@@ -551,6 +551,18 @@ def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "check", str(bad))[0] == USAGE
 
 
+@pytest.mark.parametrize("command,spec,flag", [
+    ("betti", "cp(n=2)", "--max-degree"),
+    ("spectrum", "lemma(i=0)", "--case-depth"),
+], ids=["max-degree", "case-depth"])
+@pytest.mark.parametrize("value", ["-3", "x"])
+def test_limits_must_be_nonnegative_integers(capsys, command, spec, flag, value):
+    code, out, err = run(capsys, "--json", command, spec, flag, value)
+    assert (code, out) == (USAGE, "")
+    assert err.endswith(f"argument {flag}: not a nonnegative integer: '{value}'\n")
+    assert run(capsys, "--json", command, spec, flag, "0")[0] != USAGE
+
+
 def test_verify_rejects_a_repeated_image(capsys, tmp_path):
     p = tmp_path / "f.mor"
     p.write_text("f x = 2*x\nf y = 512*y\nf x = 3*x\n")

@@ -14,27 +14,30 @@ degree; ``solve_monomial_system`` is a rank check, one ``LinearSolver``
 solve per prime of the constants and a GF(2) eliminator for the signs;
 ``MPoly.substitute`` builds a one-term ``MPoly`` per term and multiplies it
 by each value one power at a time, and ``mul_terms`` finds the sign of each
-pair of monomials from scratch.
+pair of monomials from scratch; ``factor_constraint`` and ``reduce_modulo``
+go through sympy expressions (``factor_list`` and ``groebner(...).reduce``).
 """
 
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.polyerrors import CoercionFailed
 
 from conftest import ALL_KEYS, built, canonical_rational, certified
 from minmod.cohomology import (ExactnessWitness, TopFunctional, d_matrix, is_closed,
                                is_exact, top_functional_from_volume)
-from minmod.endo import (SIGN_BITS_CAP, EnumerationCap, MonomialEquation, generic_ansatz,
-                         solve_monomial_system)
+from minmod.endo import (SIGN_BITS_CAP, EnumerationCap, MonomialEquation, factor_constraint,
+                         generic_ansatz, reduce_modulo, solve_monomial_system)
 from minmod.flexcert import bigraded_cohomology_basis, construct_lower_grading, scaling_images
 from minmod.gca import (Element, FreeGCA, Generator, StructureError, _even_fills,
                         mul_terms, within)
 from minmod.linalg import Inconsistent, LinearSolver, _integer_row
-from minmod.poly import MPoly, add_terms
+from minmod.poly import MPoly, add_terms, quotient
 from minmod.sullivan import (SullivanAlgebra, apply_algebra_map, dimension_formula,
                              ellipticity_certificate, extend_derivation, tensor_product)
 
@@ -1080,3 +1083,117 @@ def test_mul_terms_odd_square_vanishes_and_foreign_monomials_raise():
         mul_terms(MIXED, {a: 1}, {(1, 0): 1})
     with pytest.raises(StructureError):
         mul_terms(MIXED, {(1, 0): 1}, {a: 1})
+
+
+def reference_to_sympy(p):
+    return sympy.Add(*(sympy.Mul(sympy.Rational(c.numerator, c.denominator),
+                                 *(sympy.Symbol(v) ** e for v, e in k))
+                       for k, c in p.terms.items()))
+
+
+def reference_from_sympy(expr):
+    expr = sympy.expand(expr)
+    out = {}
+    for term in expr.as_ordered_terms():
+        coeff, factors = term.as_coeff_Mul()
+        q = quotient(int(sympy.numer(coeff)), int(sympy.denom(coeff)))
+        exps = {}
+        for f in sympy.Mul.make_args(factors):
+            if f.is_Number:
+                continue
+            base, e = f.as_base_exp()
+            exps[str(base)] = exps.get(str(base), 0) + int(e)
+        key = tuple(sorted((v, e) for v, e in exps.items() if e))
+        add_terms(out, ((key, q),))
+    return MPoly(out)
+
+
+def reference_factor_constraint(p):
+    _, factors = sympy.factor_list(reference_to_sympy(p))
+    return [reference_from_sympy(base) for base, _ in factors]
+
+
+def reference_reduce_modulo(p, polys):
+    polys = [q for q in polys if q]
+    if not polys or not p:
+        return p
+    names = sorted({v for q in polys for v in q.variables()} | p.variables())
+    gens = [sympy.Symbol(v) for v in names]
+    basis = sympy.groebner([reference_to_sympy(q) for q in polys], *gens, order="grevlex")
+    _, remainder = basis.reduce(reference_to_sympy(p))
+    return reference_from_sympy(remainder)
+
+
+# string order and numeric order differ: "k10" < "k2" but k2 < k10
+RING_UNKNOWNS = ("k2", "k3", "k10", "k14")
+RATIONALS = st.one_of(INTEGERS, NON_INTEGRAL).filter(bool)
+
+
+@st.composite
+def small_polynomials(draw, max_terms=3, max_exp=2):
+    """An MPoly in ``RING_UNKNOWNS``, or a univariate linear one ``c*v + d``."""
+    if draw(st.booleans()):
+        v = MPoly.var(draw(st.sampled_from(RING_UNKNOWNS)))
+        return v * draw(st.sampled_from((1, 2, Fraction(1, 2)))) + draw(st.integers(-2, 2))
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        factors = draw(st.dictionaries(st.sampled_from(RING_UNKNOWNS), st.integers(1, max_exp),
+                                       max_size=2))
+        terms[tuple(sorted(factors.items()))] = draw(RATIONALS)
+    return MPoly(terms)
+
+
+@st.composite
+def factored_polynomials(draw):
+    """c * content * f1^m1 * ...: a monomial content in several unknowns with
+    exponents up to 3, then factors that may repeat or be univariate linear."""
+    content = draw(st.dictionaries(st.sampled_from(RING_UNKNOWNS), st.integers(1, 3), max_size=3))
+    p = MPoly({tuple(sorted(content.items())): draw(RATIONALS)})
+    for _ in range(draw(st.integers(0, 3))):
+        p = p * draw(small_polynomials(max_terms=2)) ** draw(st.integers(1, 2))
+    return p
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.one_of(factored_polynomials(), small_polynomials(max_terms=4, max_exp=3)))
+def test_factor_constraint_matches_expr_path_in_order(p):
+    # the same factors in the same order, as the case tree branches in it
+    assert factor_constraint(p) == reference_factor_constraint(p)
+
+
+# simplify refutes a constant constraint, so a case never has one
+CONSTRAINTS = st.lists(small_polynomials().filter(lambda q: q.variables()), max_size=3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(small_polynomials(max_terms=4, max_exp=3), CONSTRAINTS)
+def test_reduce_modulo_matches_expr_path(p, polys):
+    try:
+        want = reference_reduce_modulo(p, polys)
+    except CoercionFailed:
+        # the Expr path cannot reduce a non-integral p modulo integral
+        # constraints; the remainder is linear in p, so compare p with its
+        # denominators cleared
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        want = reference_reduce_modulo(p.scale(den), polys).scale(Fraction(1, den))
+    assert reduce_modulo(p, polys) == want
+
+
+@pytest.mark.parametrize("expr,want", [
+    ("k14*k15*k20 - k14*k16*k19", ["k14", "k15*k20 - k16*k19"]),
+    ("k10 - k2", ["-k10 + k2"]),                                     # generators k2 < k10
+    ("k3^2*k5*(k5 - 1)", ["-1 + k5", "k5", "k3"]),                   # exponent in the key
+    ("k3*(k5 + 1)", ["k3", "1 + k5"]),                               # dense rep breaks a tie
+    ("k5*k3*(2*k3 - k5)^2", ["k3", "k5", "2*k3 - k5"]),             # content ties: name order
+], ids=["content-first", "sympy-generator-order", "multiplicity", "dense-rep", "repeated"])
+def test_factor_constraint_order_is_pinned(expr, want):
+    p = reference_from_sympy(sympy.sympify(expr.replace("^", "**")))
+    assert [str(f) for f in factor_constraint(p)] == want
+
+
+def test_reduce_modulo_works_over_the_rationals():
+    k1, k2 = MPoly.var("k1"), MPoly.var("k2")
+    assert reduce_modulo(k1 * k2, [2 * k1 - 1]) == k2 * Fraction(1, 2)
+    assert reduce_modulo(k1 ** 2, [Fraction(2, 3) * k1 - 1, k2]) == Fraction(9, 4)
+    # the Expr path raised CoercionFailed here: integral constraints, rational p
+    assert reduce_modulo(k1 * Fraction(1, 2), [k1 - 3]) == Fraction(3, 2)

@@ -4,15 +4,16 @@ All suites run derandomized so the corpus is reproducible run to run.
 """
 
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
-import sympy
 from hypothesis import given, settings, strategies as st
+from sympy.polys.rings import PolyRing
 
 from conftest import built
 from minmod import cli
 from minmod.cohomology import betti_table, is_exact
-from minmod.endo import (CaseContext, Contradiction, _from_sympy, _to_sympy,
+from minmod.endo import (CaseContext, Contradiction, _from_ring, _to_ring,
                          extract_constraints, generic_ansatz, simplify)
 from minmod.gca import Element, mul_terms, within
 from minmod.linalg import LinearSolver
@@ -308,27 +309,25 @@ def test_root_simplify_of_chiral3_square_is_pinned():
                           "k93", "k94", "k95", "k99", "k125", "k130"]
 
 
-def _incremental_to_sympy(p):
-    """Reference: the old conversion that added the terms one at a time."""
-    expr = sympy.Integer(0)
-    for k, c in p.terms.items():
-        t = sympy.Rational(c.numerator, c.denominator)
-        for v, e in k:
-            t = t * sympy.Symbol(v) ** e
-        expr = expr + t
-    return expr
-
-
 MONOMIALS = st.dictionaries(st.sampled_from(UNKNOWNS), st.integers(1, 3), max_size=3).map(
     lambda exps: tuple(sorted(exps.items())))
 
 
 @settings(**SETTINGS)
 @given(st.one_of(st.just(MPoly()), COEFFS.map(MPoly.const),
-                 st.dictionaries(MONOMIALS, COEFFS, max_size=6).map(MPoly)))
-def test_sympy_round_trip(p):
-    assert _from_sympy(_to_sympy(p)) == p
-    assert _to_sympy(p) == _incremental_to_sympy(p)
+                 st.dictionaries(MONOMIALS, COEFFS, max_size=6).map(MPoly)),
+       st.permutations(UNKNOWNS), st.sampled_from(["lex", "grevlex"]))
+def test_sympy_round_trip(p, names, order):
+    """MPoly -> sympy ring element -> MPoly on generators in any order, over
+    Q and, with denominators cleared, over Z; the element is the one the
+    ring's own arithmetic builds from its generators."""
+    ring = PolyRing(names, "QQ", order)
+    f = _to_ring(p, ring)
+    assert _from_ring(f) == p
+    assert f == sum((ring.domain.convert(c) * prod(ring.gens[names.index(v)] ** e for v, e in k)
+                     for k, c in p.terms.items()), ring.zero)
+    integral = p.scale(lcm(*(c.denominator for c in p.terms.values())))
+    assert _from_ring(_to_ring(integral, PolyRing(names, "ZZ", order))) == integral
 
 
 # -- the sparse-term kernel shared by MPoly and Element ----------------------

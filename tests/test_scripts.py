@@ -90,6 +90,13 @@ from fractions import Fraction
 from minmod import endo
 from minmod.poly import MPoly
 k1, k2 = MPoly.var("k1"), MPoly.var("k2")
+
+
+def ring(*args):
+    from sympy.polys.rings import PolyRing
+    return PolyRing(*args)
+
+
 before = "sympy" in sys.modules
 print(repr({expr}))
 print(before, "sympy" in sys.modules)
@@ -99,7 +106,8 @@ print(before, "sympy" in sys.modules)
 @pytest.mark.parametrize("expr,want", [
     ("sorted(str(f) for f in endo.factor_constraint(k1**2 - k2**2))", "['k1 + k2', 'k1 - k2']"),
     ("str(endo.reduce_modulo(k1**2*k2, [k1 - 2]))", "'4*k2'"),
-    ("str(endo._from_sympy(endo._to_sympy(Fraction(3, 2)*k1**2*k2 - k2 + 5)))",
+    ("str(endo._from_ring(endo._to_ring("
+     "Fraction(3, 2)*k1**2*k2 - k2 + 5, ring(['k2', 'k1'], 'QQ', 'lex'))))",
      "'5 + 3/2*k1^2*k2 - k2'"),
     ("endo.solve_monomial_system([endo.MonomialEquation(((\"a\", 3),), Fraction(-8))])",
      "({'a': -2},)"),
