@@ -2,8 +2,15 @@
 
 Subcommands: check, dim, betti, exact, volume, spectrum, flex, verify,
 replay, catalog.  Algebras come from DSL files or catalog specs like
-``lemma(i=0)``.  ``--json`` emits a schema-validated report whose
-certificates the ``replay`` subcommand re-verifies without re-solving.
+``lemma(i=0)``.  ``--json`` emits a schema-validated report.  ``replay``
+verifies the certificates a report carries (ellipticity and exactness
+witnesses, the top functional, morphisms and their degrees), recomputes
+and compares the fields that carry none (d^2 = 0, minimality, dimension,
+Betti numbers, flex structure and class counts, and not-elliptic and
+not-exact claims, which are solved again), and derives the verdict again.
+Where a ``dim``, ``volume``, ``spectrum``, ``flex`` or ``verify`` report
+needs an ellipticity certificate, replay searches for it again.  A
+spectrum's ``classification`` and ``complete`` are not replayed.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 inconclusive,
 3 usage or parse error.
@@ -587,37 +594,33 @@ def _images(alg, lines) -> dict:
 # -- entry point ------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The command line's parser, built once per process; it holds no command function."""
     parser = _Parser(prog="minmod", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def alg_cmd(name, fn, **extra):
+    def alg_cmd(name, **extra):
         p = sub.add_parser(name)
         p.add_argument("algebra", help="DSL file or catalog spec like lemma(i=0)")
         for flag, kw in extra.items():
             p.add_argument(flag, **kw)
-        p.set_defaults(fn=fn)
         return p
 
-    alg_cmd("check", cmd_check)
-    alg_cmd("dim", cmd_dim)
-    alg_cmd("betti", cmd_betti, **{"--max-degree": dict(type=_nonnegative_int, default=None)})
-    p = alg_cmd("exact", cmd_exact)
-    p.add_argument("expression")
-    alg_cmd("volume", cmd_volume)
-    alg_cmd("spectrum", cmd_spectrum,
+    alg_cmd("check")
+    alg_cmd("dim")
+    alg_cmd("betti", **{"--max-degree": dict(type=_nonnegative_int, default=None)})
+    alg_cmd("exact").add_argument("expression")
+    alg_cmd("volume")
+    alg_cmd("spectrum",
             **{"--case-depth": dict(type=_nonnegative_int, default=SolverConfig.case_depth)})
-    alg_cmd("flex", cmd_flex)
-    p = alg_cmd("verify", cmd_verify)
-    p.add_argument("morphism", help="file of `f NAME = EXPR` lines")
-    p = sub.add_parser("replay")
-    p.add_argument("report", help="a JSON report emitted with --json")
-    p.set_defaults(fn=cmd_replay)
+    alg_cmd("flex")
+    alg_cmd("verify").add_argument("morphism", help="file of `f NAME = EXPR` lines")
+    sub.add_parser("replay").add_argument("report", help="a JSON report emitted with --json")
     p = sub.add_parser("catalog")
     p.add_argument("key", nargs="?", default=None)
     p.add_argument("--param", action="append", help="NAME=INT, repeatable")
-    p.set_defaults(fn=cmd_catalog)
     return parser
 
 
@@ -629,14 +632,14 @@ def error_exit(exc) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE
     args._argv = argv
     try:
-        return args.fn(args)
+        # looked up per call, so a rebound ``cli.cmd_*`` (a tracer, a test spy) is the one run
+        return globals()["cmd_" + args.command](args)
     except ERRORS as exc:
         return error_exit(exc)
 

@@ -11,6 +11,7 @@ integers, and int arithmetic is several times faster.  Every quotient goes
 through :func:`quotient` (``/`` of ints is a float); :class:`Terms` stores an
 integral Fraction as an int.  :meth:`MPoly.substitute` is one dict-to-dict
 pass, with the powers of each polynomial value cached per call.
+``Terms.__pow__`` raises powers by squaring, in about ``2*log2(n)`` products.
 """
 
 from __future__ import annotations
@@ -148,9 +149,14 @@ class Terms:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = self._one()
-        for _ in range(n):
-            out = out * self
+        # square-and-multiply: about 2*log2(n) products; both rings are associative
+        out, base = self._one(), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
 

@@ -7,6 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from minmod import cli
 from minmod.cli import FAIL, INCONCLUSIVE, PASS, USAGE, main, validate_report
 
 
@@ -627,3 +628,22 @@ def test_json_reports_validate_against_schema(capsys):
         code, doc = run_json(capsys, *argv)
         assert doc["schema"] == "minmod-report/1"
         assert doc["argv"] == ["--json", *argv]
+
+
+def test_repeated_calls_in_one_process_are_independent(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    assert run(capsys, "catalog", "--param", "n=4") == (
+        USAGE, "", "--param needs a catalog key\n")
+    code, out, _ = run(capsys, "catalog")
+    assert code == PASS and "lemma" in out and "chiral3" in out
+    # an appended --param list starts empty in every call
+    assert run(capsys, "catalog", "cp", "--param", "n=4")[0] == PASS
+    code, out, _ = run(capsys, "catalog", "cp", "--param", "n=2")
+    assert code == PASS and "d y = x^5" in out
+    assert run(capsys, "nonesuch")[0] == USAGE
+    assert run(capsys, "check", "lemma(i=0)")[0] == PASS
+
+    seen = []
+    monkeypatch.setattr(cli, "cmd_dim", lambda args: seen.append(args.algebra) or FAIL)
+    assert run(capsys, "dim", "cp(n=4)")[0] == FAIL
+    assert seen == ["cp(n=4)"]

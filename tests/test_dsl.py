@@ -74,6 +74,18 @@ def test_odd_square_rejected():
         parse_algebra("gen a : 3\ngen m : 7\nd m = a^2\n")
 
 
+def test_vanishing_power_of_an_odd_factor_is_refused_at_its_caret():
+    gens = "gen x : 2\ngen y : 3\ngen z : 5\n"
+    with pytest.raises(ParseError) as exc:
+        parse_algebra(gens + "d z = y^2\n")
+    assert str(exc.value) == "power vanishes: odd factor squared (line 4, column 8)"
+    alg = parse_algebra(gens).algebra
+    x, y = alg.free.gen("x"), alg.free.gen("y")
+    assert parse_element(alg, "y^1") == y
+    assert parse_element(alg, "y^0") == alg.free.one()
+    assert parse_element(alg, "(x + y)^2") == x * x + (x * y).scale(2)
+
+
 def test_duplicate_generators_rejected():
     with pytest.raises(ParseError):
         parse_algebra("gen x : 4\ngen x : 6\n")

@@ -13,6 +13,7 @@ from sympy.polys.rings import PolyRing
 from conftest import built
 from minmod import cli
 from minmod.cohomology import betti_table, is_exact
+from minmod.dsl import parse_algebra
 from minmod.endo import (CaseContext, Contradiction, _from_ring, _to_ring,
                          extract_constraints, generic_ansatz, simplify)
 from minmod.gca import Element, mul_terms, within
@@ -386,3 +387,45 @@ def test_symbolic_coefficients_print_in_parentheses():
     assert str(images["a"]) == "(k2)*b + (k1)*a"
     assert str(images["a"].scale(MPoly.var("k1") - 1)) == "(k1*k2 - k2)*b + (-k1 + k1^2)*a"
     assert str(generic_ansatz(_algebra()).images["y3"]) == "(k5)*y3 + (k6)*x1*y1"
+
+
+# two even and two odd generators of low degree, so products of odd parts stay small
+POWER_ALGEBRA = parse_algebra("gen x : 2\ngen w : 4\ngen y : 3\ngen a : 5\n").algebra
+
+
+@st.composite
+def power_base(draw):
+    """The zero element (no degrees), a homogeneous one (one degree) or a
+    mixed one, each degree carrying up to two basis monomials."""
+    alg = POWER_ALGEBRA
+    degrees = draw(st.lists(st.sampled_from([n for n in range(10) if alg.basis_of_degree(n)]),
+                            max_size=3, unique=True))
+    terms = {}
+    for n in degrees:
+        picks = draw(st.lists(st.sampled_from(list(alg.basis_of_degree(n))),
+                              min_size=1, max_size=2, unique=True))
+        terms.update((m, draw(COEFFS)) for m in picks)
+    return Element(alg.free, terms)
+
+
+def _powers_are_repeated_products(e):
+    product = e._one()
+    for n in range(13):
+        assert e ** n == product, n
+        product = product * e
+    with pytest.raises(ValueError):
+        e ** -1
+
+
+@settings(**SETTINGS)
+@given(st.one_of(power_base(), small_poly()))
+def test_power_is_the_repeated_product(e):
+    _powers_are_repeated_products(e)
+
+
+def test_power_covers_odd_zero_and_mixed_bases():
+    free = POWER_ALGEBRA.free
+    x, y, a = (free.gen(g) for g in ("x", "y", "a"))
+    for e in (free.zero(), y, y * a + x * y, x + y, x.scale(Fraction(1, 2)) - a + x * x):
+        _powers_are_repeated_products(e)
+    assert not y ** 2 and (x + y) ** 2 == x * x + (x * y).scale(2)
