@@ -3,14 +3,14 @@
 Subcommands: check, dim, betti, exact, volume, spectrum, flex, verify,
 replay, catalog.  Algebras come from DSL files or catalog specs like
 ``lemma(i=0)``.  ``--json`` emits a schema-validated report.  ``replay``
-verifies the certificates a report carries (ellipticity and exactness
-witnesses, the top functional, morphisms and their degrees), recomputes
-and compares the fields that carry none (d^2 = 0, minimality, dimension,
-Betti numbers, flex structure and class counts, and not-elliptic and
-not-exact claims, which are solved again), and derives the verdict again.
-Where a ``dim``, ``volume``, ``spectrum``, ``flex`` or ``verify`` report
-needs an ellipticity certificate, replay searches for it again.  A
-spectrum's ``classification`` and ``complete`` are not replayed.
+recomputes each field no certificate backs with the function the command
+emitted it with, and reports each difference as ``KEY is VALUE, the report
+says STATED``; it verifies the certificates a report carries (ellipticity and
+exactness witnesses, the top functional, morphisms and their degrees) and
+derives the verdict again.  Not-elliptic and not-exact claims, and the
+ellipticity certificate a ``dim``, ``volume``, ``spectrum``, ``flex`` or
+``verify`` report needs, are solved again.  A spectrum's ``classification``
+and ``complete`` are not replayed.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 inconclusive,
 3 usage or parse error.
@@ -52,8 +52,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _q(x) -> str:
-    return str(Fraction(x))
+def _q(x) -> str | None:
+    return None if x is None else str(Fraction(x))
 
 
 def _nonnegative_int(text) -> int:
@@ -102,12 +102,16 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path!r}: not UTF-8 text")
 
 
-def load_algebra(spec: str) -> AlgebraFile:
-    """A DSL file path, or a catalog spec like ``chiral1(l1=4,l2=2)``."""
+def _catalog_entry(spec: str):
+    """The catalog entry a spec like ``chiral1(l1=4,l2=2)`` names, or None."""
     m = _CATALOG_SPEC.match(spec)
     if m and m.group(1) in {e.key for e in catalog.ENTRIES}:
         return _build(m.group(1), filter(None, (m.group(2) or "").split(",")))
-    return parse_algebra(_read(spec), name=spec)
+
+
+def load_algebra(spec: str) -> AlgebraFile:
+    """A DSL file path, or a catalog spec like ``chiral1(l1=4,l2=2)``."""
+    return _catalog_entry(spec) or parse_algebra(_read(spec), name=spec)
 
 
 def _verdict(command, doc) -> str:
@@ -128,12 +132,7 @@ def _report(args, command, af, lines, payload) -> int:
     verdict = _verdict(command, payload)
     code = {"pass": PASS, "fail": FAIL, "inconclusive": INCONCLUSIVE}[verdict]
     if args.json:
-        doc = {
-            "schema": SCHEMA_ID,
-            "command": command,
-            "argv": args._argv,
-            "verdict": verdict,
-        }
+        doc = {"schema": SCHEMA_ID, "command": command, "argv": args._argv, "verdict": verdict}
         if af is not None:
             doc["algebra"] = {"name": af.algebra.name, "source": print_algebra(af)}
         doc.update(payload)
@@ -150,6 +149,13 @@ def _morphism_lines(images: dict) -> list:
 
 
 # -- subcommand bodies ------------------------------------------------------
+# A ``_*_fields`` function derives the fields of a report that no certificate
+# backs; the command emits them and replay recomputes them with it.
+
+
+def _catalog_fields() -> dict:
+    return {"entries": [{"key": k, "summary": s, "parameters": p}
+                        for k, s, p in catalog.describe()]}
 
 
 def cmd_catalog(args) -> int:
@@ -158,19 +164,21 @@ def cmd_catalog(args) -> int:
         return _report(args, "catalog", af, [print_algebra(af).rstrip()], {})
     if args.param:
         raise ParseError("--param needs a catalog key")
-    rows = catalog.describe()
-    lines = [f"{k:14s} {s:55s} {p}" for k, s, p in rows]
-    return _report(args, "catalog", None, lines,
-                   {"entries": [{"key": k, "summary": s, "parameters": p} for k, s, p in rows]})
+    payload = _catalog_fields()
+    lines = [f"{e['key']:14s} {e['summary']:55s} {e['parameters']}" for e in payload["entries"]]
+    return _report(args, "catalog", None, lines, payload)
+
+
+def _check_fields(alg) -> dict:
+    return {"d_squared": bool(check_d_squared(alg)), "minimal": bool(check_minimality(alg))}
 
 
 def cmd_check(args) -> int:
     af = load_algebra(args.algebra)
     alg = af.algebra
-    d2 = check_d_squared(alg)
-    minimal = check_minimality(alg)
-    lines = [f"d^2 = 0: {'pass' if d2 else 'FAIL'}",
-             f"minimal: {'pass' if minimal else 'FAIL'}"]
+    checks = _check_fields(alg)
+    lines = [f"d^2 = 0: {'pass' if checks['d_squared'] else 'FAIL'}",
+             f"minimal: {'pass' if checks['minimal'] else 'FAIL'}"]
     witnesses = []
     try:
         cert = ellipticity_certificate(alg)
@@ -182,27 +190,34 @@ def cmd_check(args) -> int:
         for name, (n, w) in sorted(cert.powers.items()):
             lines.append(f"elliptic: {name}^{n} exact")
             witnesses.append({"generator": name, "exponent": n, "witness": element_str(w)})
-    payload = {
-        "checks": {"d_squared": bool(d2), "minimal": bool(minimal), "elliptic": elliptic},
-        "certificates": {"ellipticity": witnesses},
-    }
+    payload = {"checks": {**checks, "elliptic": elliptic},
+               "certificates": {"ellipticity": witnesses}}
     lines.append(_verdict("check", payload))
     return _report(args, "check", af, lines, payload)
 
 
+def _dim_fields(af) -> dict:
+    return {"dimension": formal_dimension(af.algebra, ellipticity_certificate(af.algebra))}
+
+
 def cmd_dim(args) -> int:
     af = load_algebra(args.algebra)
-    value = formal_dimension(af.algebra, ellipticity_certificate(af.algebra))
-    return _report(args, "dim", af, [str(value)], {"dimension": value})
+    payload = _dim_fields(af)
+    return _report(args, "dim", af, [str(payload["dimension"])], payload)
+
+
+def _betti_fields(af, max_degree) -> dict:
+    """Betti numbers up to ``max_degree``, by default to the formal dimension, 0 to 40."""
+    if max_degree is None:
+        max_degree = max(0, min(dimension_formula(af.algebra), 40))
+    return {"max_degree": max_degree, "betti": betti_table(af.algebra, max_degree)}
 
 
 def cmd_betti(args) -> int:
     af = load_algebra(args.algebra)
-    up_to = args.max_degree if args.max_degree is not None else min(
-        dimension_formula(af.algebra), 40)
-    table = betti_table(af.algebra, up_to)
-    lines = [f"b_{n} = {b}" for n, b in enumerate(table)]
-    return _report(args, "betti", af, lines, {"max_degree": up_to, "betti": table})
+    payload = _betti_fields(af, args.max_degree)
+    lines = [f"b_{n} = {b}" for n, b in enumerate(payload["betti"])]
+    return _report(args, "betti", af, lines, payload)
 
 
 def cmd_exact(args) -> int:
@@ -217,11 +232,8 @@ def cmd_exact(args) -> int:
         if witness is not None:
             lines.append(f"witness: d({element_str(witness.preimage)})")
     return _report(args, "exact", af, lines, {
-        "expression": args.expression,
-        "closed": closed,
-        "exact": bool(closed and witness is not None),
-        "witness": element_str(witness.preimage) if witness else None,
-    })
+        "expression": args.expression, "closed": closed, "exact": witness is not None,
+        "witness": element_str(witness.preimage) if witness else None})
 
 
 def cmd_volume(args) -> int:
@@ -234,10 +246,7 @@ def cmd_volume(args) -> int:
            for m, c in sorted(vol.functional.phi.items()) if c]
     lines = [f"volume form verified in degree {vol.degree}"]
     return _report(args, "volume", af, lines, {
-        "degree": vol.degree,
-        "representative": element_str(vol.representative),
-        "functional": phi,
-    })
+        "degree": vol.degree, "representative": element_str(vol.representative), "functional": phi})
 
 
 def _volume(af: AlgebraFile):
@@ -263,33 +272,24 @@ def cmd_spectrum(args) -> int:
         trail = ", ".join(unresolved.assumptions) or "no assumptions"
         lines.append(f"first unresolved case: {trail} -- {unresolved.residual[-1]}")
     return _report(args, "spectrum", af, lines, {
-        "classification": verdict.classification,
-        "spectrum": [_q(q) for q in verdict.spectrum],
-        "families": [f.describe() for f in verdict.families],
-        "flexible": verdict.flexible,
-        "complete": verdict.complete,
-        "witnesses": witnesses,
-    })
+        "classification": verdict.classification, "spectrum": [_q(q) for q in verdict.spectrum],
+        "families": [f.describe() for f in verdict.families], "flexible": verdict.flexible,
+        "complete": verdict.complete, "witnesses": witnesses})
 
 
-def _flex_structure(alg):
-    """A flex report's structural fields, its text lines and the lower grading;
-    emitting and replaying both derive them here."""
+def _flex_fields(alg):
+    """A flex report's structural fields, its text lines and the lower grading."""
     mono_ok, offender = monomial_differential_check(alg)
     grading = construct_lower_grading(alg)
     cond_ok, cond_off = check_prop4_condition(alg, grading)
     two = two_stage_decomposition(alg)
+    levels = {g.name: l for g, l in zip(alg.generators, grading.degrees)}
     lines = [f"monomial differentials: {mono_ok}" + (f" (fails at {offender})" if offender else ""),
-             "lower grading: " + ", ".join(
-                 f"{g.name}:{l}" for g, l in zip(alg.generators, grading.degrees)),
+             "lower grading: " + ", ".join(f"{n}:{l}" for n, l in levels.items()),
              f"lower-degree condition: {cond_ok}" + (f" (fails at {cond_off})" if cond_off else ""),
              f"two-stage: {two if two else 'none'}"]
-    fields = {
-        "monomial_differentials": mono_ok,
-        "grading": {g.name: l for g, l in zip(alg.generators, grading.degrees)},
-        "condition": cond_ok,
-        "two_stage": {"closed": list(two[0]), "rest": list(two[1])} if two else None,
-    }
+    fields = {"monomial_differentials": mono_ok, "grading": levels, "condition": cond_ok,
+              "two_stage": {"closed": list(two[0]), "rest": list(two[1])} if two else None}
     return fields, lines, grading
 
 
@@ -297,7 +297,7 @@ def cmd_flex(args) -> int:
     af = load_algebra(args.algebra)
     alg = af.algebra
     vol = _volume(af)
-    payload, lines, grading = _flex_structure(alg)
+    payload, lines, grading = _flex_fields(alg)
     if not payload["condition"]:
         lines.append("no scaling certificate")
         return _report(args, "flex", af, lines, payload)
@@ -311,29 +311,31 @@ def cmd_flex(args) -> int:
     payload["scaling"] = {"base": sc.base, "degree": _q(sc.degree),
                           "exponent": sc.degree_exponent(),
                           "morphism": _morphism_lines(sc.images)}
-    payload["multiples"] = [{"k": c.k, "degree": _q(c.degree) if c.degree is not None else None,
+    payload["multiples"] = [{"k": c.k, "degree": _q(c.degree),
                              "classes": c.classes_checked, "failing": c.failing}
                             for c in checks]
     return _report(args, "flex", af, lines, payload)
 
 
+def _verify_fields(af, images) -> dict:
+    """Whether ``images`` is a morphism, where not, and its degree if there is a volume."""
+    vol = _volume(af) if af.volume is not None else None
+    report = verify_morphism(af.algebra, images, vol)
+    return {"valid": report.valid, "failing": report.failing, "degree": _q(report.degree)}
+
+
 def cmd_verify(args) -> int:
     af = load_algebra(args.algebra)
     images = parse_morphism(af.algebra, _read(args.morphism))
-    vol = _volume(af) if af.volume is not None else None
-    report = verify_morphism(af.algebra, images, vol)
-    if report.valid:
+    payload = _verify_fields(af, images)
+    if not payload["valid"]:
+        lines = [f"not a morphism: fails at {payload['failing']}"]
+    elif payload["degree"] is None:
         lines = ["valid morphism"]
-        if report.degree is not None:
-            lines.append(f"degree: {report.degree}")
     else:
-        lines = [f"not a morphism: fails at {report.failing}"]
-    return _report(args, "verify", af, lines, {
-        "valid": report.valid,
-        "failing": report.failing,
-        "degree": _q(report.degree) if report.degree is not None else None,
-        "morphism": _morphism_lines(images),
-    })
+        lines = ["valid morphism", f"degree: {payload['degree']}"]
+    payload["morphism"] = _morphism_lines(images)
+    return _report(args, "verify", af, lines, payload)
 
 
 # -- replay -----------------------------------------------------------------
@@ -378,7 +380,9 @@ def cmd_replay(args) -> int:
         print(f"invalid report: {exc.message}", file=sys.stderr)
         return USAGE
     command = doc["command"]
-    failures = _replay_checks(doc, command)
+    af = (parse_algebra(doc["algebra"]["source"], name=doc["algebra"]["name"])
+          if "algebra" in doc else None)
+    failures = REPLAYS[command](af, doc)
     verdict = _verdict(command, doc)
     if doc["verdict"] != verdict:
         failures.append(f"the report's fields give verdict {verdict}, it says {doc['verdict']}")
@@ -390,37 +394,29 @@ def cmd_replay(args) -> int:
     return PASS
 
 
-def _replay_checks(doc, command) -> list:
-    if command == "catalog":
-        return []
-    af = parse_algebra(doc["algebra"]["source"], name=doc["algebra"]["name"])
-    alg = af.algebra
-    if command == "check":
-        return _replay_check(alg, doc)
-    if command == "dim":
-        dimension = formal_dimension(alg, ellipticity_certificate(alg))
-        return [] if dimension == doc["dimension"] else ["dimension"]
-    if command == "betti":
-        return [] if betti_table(alg, doc["max_degree"]) == doc["betti"] else ["betti table"]
-    if command == "exact":
-        return _replay_exact(alg, doc)
-    if command == "volume":
-        return _replay_volume(af, doc)
-    if command == "verify":
-        return _replay_verify(af, doc)
-    if command == "spectrum":
-        return _replay_spectrum(af, doc)
-    return _replay_flex(af, doc)
+def _differ(fields, stated, tag="") -> list:
+    """The one mismatch rule: each recomputed field the report states otherwise."""
+    return [f"{key} is {value}, the report says {stated.get(key)}{tag}"
+            for key, value in fields.items() if stated.get(key) != value]
 
 
-def _replay_check(alg, doc) -> list:
+def _replay_catalog(af, doc) -> list:
+    """List the catalog again, or rebuild the entry the report's algebra names."""
+    if af is None:
+        return _differ(_catalog_fields(), doc)
+    entry = _catalog_entry(af.algebra.name)
+    if entry is None:
+        raise ParseError(f"invalid report: {af.algebra.name!r} names no catalog entry")
+    return _differ({"source": print_algebra(entry).splitlines()},
+                   {"source": doc["algebra"]["source"].splitlines()})
+
+
+def _replay_check(af, doc) -> list:
     """Recompute d^2 = 0 and minimality; replay one witness per even generator.
     A not-elliptic claim carries no certificate, so the search runs again."""
+    alg = af.algebra
     checks = doc["checks"]
-    failures = [f"{key} is {ok}, the report says {checks[key]}"
-                for key, ok in (("d_squared", bool(check_d_squared(alg))),
-                                ("minimal", bool(check_minimality(alg))))
-                if ok != checks[key]]
+    failures = _differ(_check_fields(alg), checks)
     certs = doc["certificates"]["ellipticity"]
     names = sorted(c["generator"] for c in certs)
     even = sorted(g.name for g in alg.generators if not g.is_odd) if checks["elliptic"] else []
@@ -430,35 +426,35 @@ def _replay_check(alg, doc) -> list:
     elif not checks["elliptic"]:
         with suppress(Undecided):
             ellipticity_certificate(alg)
-            failures.append("elliptic is True, the report says False")
+            failures += _differ({"elliptic": True}, checks)
     elif not EllipticityCertificate(alg, powers).replay():
         failures.append("ellipticity witnesses do not verify")
     return failures
 
 
-def _replay_exact(alg, doc) -> list:
+def _replay_exact(af, doc) -> list:
     """Exact iff a witness is given, and it must verify; a not-exact claim
     carries no certificate, so it is solved again."""
+    alg = af.algebra
     e = parse_element(alg, doc["expression"])
     closed, exact, witness = is_closed(alg, e), doc["exact"], doc["witness"]
     if closed != doc["closed"]:
-        return [f"closed is {closed}, the report says {doc['closed']}"]
+        return _differ({"closed": closed}, doc)
     if witness is not None and not closed:
         return ["the report gives an exactness witness for an element that is not closed"]
     if exact != (witness is not None):
         return [f"exact is {exact}, but the report gives {'a' if witness else 'no'} witness"]
     if witness is None:
-        solved = closed and is_exact(alg, e) is not None
-        return ["exact is True, the report says False"] if solved else []
+        return _differ({"exact": closed and is_exact(alg, e) is not None}, doc)
     if not ExactnessWitness(e, parse_element(alg, witness)).replay(alg):
         return ["exactness witness does not verify"]
     return []
 
 
-def _rational(text) -> Fraction:
-    """A rational number a report states, or ParseError."""
+def _rational(text) -> Fraction | None:
+    """A rational number a report states, or ParseError; None stays None."""
     try:
-        return Fraction(text)
+        return None if text is None else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"invalid report: {text!r} is not a rational number") from None
 
@@ -503,19 +499,6 @@ def _replay_volume(af, doc) -> list:
     return failures
 
 
-def _replay_verify(af, doc) -> list:
-    """Re-run the verification and compare all three of its answers."""
-    alg = af.algebra
-    vol = _volume(af) if af.volume is not None else None
-    degree = None if doc["degree"] is None else _rational(doc["degree"])
-    rep = verify_morphism(alg, _images(alg, doc["morphism"]), vol)
-    return [f"{key} is {ok}, the report says {said}"
-            for key, ok, said in (("valid", rep.valid, doc["valid"]),
-                                  ("failing", rep.failing, doc["failing"]),
-                                  ("degree", rep.degree, degree))
-            if ok != said]
-
-
 def _replay_spectrum(af, doc) -> list:
     """Re-verify each witness and its degree.  Each nonzero constant of the
     spectrum needs a witness of that degree, and ``flexible`` must say whether
@@ -527,8 +510,7 @@ def _replay_spectrum(af, doc) -> list:
     attained = {0} | {_rational(w["degree"]) for w in doc["witnesses"]}
     failures = [f"spectrum constant {q} has no witness of that degree"
                 for q in doc["spectrum"] if _rational(q) not in attained]
-    if doc["flexible"] != bool(doc["families"]):
-        failures.append(f"flexible is {bool(doc['families'])}, the report says {doc['flexible']}")
+    failures += _differ({"flexible": bool(doc["families"])}, doc)
     entries = [(_images(alg, w["morphism"]), w["degree"], w.get("label", ""))
                for w in doc["witnesses"]]
     return failures + _verify_morphisms(alg, vol, entries)
@@ -542,9 +524,8 @@ def _replay_flex(af, doc) -> list:
     missing = [g.name for g in alg.generators if g.name not in doc["grading"]]
     if missing:
         raise ParseError(f"invalid report: grading has no level for {missing[0]!r}")
-    fields, _, grading = _flex_structure(alg)
-    failures = [f"{key} is {value}, the report says {doc[key]}"
-                for key, value in fields.items() if doc[key] != value]
+    fields, _, grading = _flex_fields(alg)
+    failures = _differ(fields, doc)
     entries = []
     scaling = doc.get("scaling")
     if scaling:
@@ -566,9 +547,7 @@ def _replay_flex(af, doc) -> list:
                     for m in doc["multiples"]]
         count = class_count(alg, grading)
         for m in doc["multiples"]:
-            want = count if m["failing"] is None else 0
-            if m["classes"] != want:
-                failures.append(f"classes is {want}, the report says {m['classes']}"
+            failures += _differ({"classes": count if m["failing"] is None else 0}, m,
                                 f" (k = {m['k']})")
     return failures + _verify_morphisms(alg, vol, entries)
 
@@ -577,7 +556,7 @@ def _verify_morphisms(alg, vol, entries) -> list:
     """Re-verify each ``(images, stated degree or None, label)`` of a report."""
     failures = []
     for images, degree, label in entries:
-        degree = None if degree is None else _rational(degree)
+        degree = _rational(degree)
         rep = verify_morphism(alg, images, vol)
         tag = f" ({label})" if label else ""
         if not rep.valid:
@@ -589,6 +568,18 @@ def _verify_morphisms(alg, vol, entries) -> list:
 
 def _images(alg, lines) -> dict:
     return parse_morphism(alg, "\n".join(lines))
+
+
+# each command's replay of (the report's algebra, None for a listing; the report)
+REPLAYS = {
+    "catalog": _replay_catalog, "check": _replay_check, "exact": _replay_exact,
+    "volume": _replay_volume, "spectrum": _replay_spectrum, "flex": _replay_flex,
+    "dim": lambda af, doc: _differ(_dim_fields(af), doc),
+    "betti": lambda af, doc: _differ(_betti_fields(af, doc["max_degree"]), doc),
+    # a stated degree is read as a rational, so 32/2 states 16
+    "verify": lambda af, doc: _differ(_verify_fields(af, _images(af.algebra, doc["morphism"])),
+                                      dict(doc, degree=_q(_rational(doc["degree"])))),
+}
 
 
 # -- entry point ------------------------------------------------------------

@@ -194,7 +194,7 @@ def parse_algebra(text: str, name: str = "") -> AlgebraFile:
     for line_no, toks in _statements(text):
         head = toks[0]
         if head.value == "param":
-            if len(toks) < 4 or toks[2].value != "=":
+            if len(toks) < 4 or toks[1].kind != "name" or toks[2].value != "=":
                 raise ParseError("expected: param NAME = INT", line_no, head.col)
             _once(toks[1].value in params, f"param {toks[1].value}", head)
             val = _ExprParser(toks, 3, line_no, dict(params)).parse()

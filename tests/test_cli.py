@@ -91,6 +91,18 @@ def test_betti(capsys):
     assert "b_0 = 1" in out and "b_6 = 1" in out
 
 
+def test_betti_lists_b0_when_the_dimension_formula_is_negative(capsys, tmp_path):
+    p = tmp_path / "x4.alg"
+    p.write_text("gen x : 4\n")  # dimension formula 4 - 7 = -3
+    assert run(capsys, "betti", str(p)) == (PASS, "b_0 = 1\n", "")
+    code, doc = run_json(capsys, "betti", str(p))
+    assert (code, doc["max_degree"], doc["betti"]) == (PASS, 0, [1])
+    # a negative range is as invalid in a report as on the command line
+    code, out, err = _replay_tampered(capsys, tmp_path, ("betti", str(p)),
+                                      lambda doc: doc.update(max_degree=-3))
+    assert (code, out, err) == (USAGE, "", "invalid report: -3 is less than the minimum of 0\n")
+
+
 def test_exact_pass_and_fail(capsys):
     code, out, _ = run(capsys, "exact", "lemma(i=0)", "x1^19")
     assert code == PASS and "exact: True" in out
@@ -158,6 +170,29 @@ def test_verify_morphism(capsys, tmp_path):
     p.write_text("f x = 2*x\nf y = y\n")
     code, out, _ = run(capsys, "verify", "cp(n=4)", str(p))
     assert code == FAIL and "fails at y" in out
+
+
+def test_verify_without_a_volume_form_states_no_degree_and_replays(capsys, tmp_path):
+    alg = tmp_path / "s2.alg"
+    alg.write_text("gen x : 2\ngen y : 3\nd y = x^2\n")
+    mor = tmp_path / "f.mor"
+    mor.write_text("f x = 2*x\nf y = 4*y\n")
+    argv = ("verify", str(alg), str(mor))
+    assert run(capsys, *argv) == (PASS, "valid morphism\n", "")
+    code, doc = run_json(capsys, *argv)
+    assert (code, doc["valid"], doc["degree"]) == (PASS, True, None)
+    assert _replay_tampered(capsys, tmp_path, argv, lambda doc: None) == (
+        PASS, "replayed verify: all certificates verify\n", "")
+    assert _replay_tampered(capsys, tmp_path, argv, lambda doc: doc.update(degree="4")) == (
+        FAIL, "replay FAIL: degree is None, the report says 4\n", "")
+
+
+def test_replay_reads_a_verify_degree_as_a_rational(capsys, tmp_path):
+    mor = tmp_path / "f.mor"
+    mor.write_text("f x = 2*x\nf y = 512*y\n")
+    assert _replay_tampered(capsys, tmp_path, ("verify", "cp(n=4)", str(mor)),
+                            lambda doc: doc.update(degree="512/2")) == (
+        PASS, "replayed verify: all certificates verify\n", "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -357,6 +392,58 @@ def test_replay_rejected_volume_reruns_the_volume_check(capsys, tmp_path):
     assert code == FAIL
     assert out == ("replay FAIL: volume rejected for 'degree 4 != formal dimension 2', "
                    "the report says 'too small'\n")
+
+
+def test_an_exact_volume_is_rejected_and_replay_rederives_the_rejection(capsys, tmp_path):
+    alg = tmp_path / "s2xs2.alg"
+    alg.write_text("gen x : 2\ngen z : 2\ngen y : 3\ngen w : 3\nd y = x^2\nd w = z^2\n"
+                   "volume x^2\n")
+    assert run(capsys, "volume", str(alg)) == (FAIL, "rejected: exact\n", "")
+    argv = ("volume", str(alg))
+    assert _replay_tampered(capsys, tmp_path, argv, lambda doc: None, emitted=FAIL) == (
+        PASS, "replayed volume: all certificates verify\n", "")
+    assert _replay_tampered(capsys, tmp_path, argv, lambda doc: doc.update(rejected="not closed"),
+                            emitted=FAIL) == (
+        FAIL, "replay FAIL: volume rejected for 'exact', the report says 'not closed'\n", "")
+
+
+@pytest.mark.parametrize("argv,tamper,reason", [
+    (("dim", "cp(n=2)"), lambda doc: doc.update(dimension=7), "dimension is 8, the report says 7"),
+    (("betti", "cp(n=2)", "--max-degree", "4"), lambda doc: doc.update(betti=[1, 0, 2, 0, 1]),
+     "betti is [1, 0, 1, 0, 1], the report says [1, 0, 2, 0, 1]"),
+], ids=["dim", "betti"])
+def test_replay_recomputes_dim_and_betti_as_the_commands_do(capsys, tmp_path, argv, tamper,
+                                                            reason):
+    assert _replay_tampered(capsys, tmp_path, argv, lambda doc: None) == (
+        PASS, f"replayed {argv[0]}: all certificates verify\n", "")
+    assert _replay_tampered(capsys, tmp_path, argv, tamper) == (
+        FAIL, f"replay FAIL: {reason}\n", "")
+
+
+def _doubled_volume(doc):
+    doc["algebra"]["source"] = doc["algebra"]["source"].replace("volume x^8", "volume 2*x^8")
+
+
+def test_replay_of_a_catalog_entry_rebuilds_it_from_its_name(capsys, tmp_path):
+    argv = ("catalog", "cp", "--param", "n=4")
+    assert _replay_tampered(capsys, tmp_path, argv, lambda doc: None) == (
+        PASS, "replayed catalog: all certificates verify\n", "")
+    stated = "['gen x : 2', 'gen y : 17', 'd y = x^9', 'volume {}x^8']"
+    assert _replay_tampered(capsys, tmp_path, argv, _doubled_volume) == (
+        FAIL, f"replay FAIL: source is {stated.format('')}, "
+              f"the report says {stated.format('2*')}\n", "")
+    assert _replay_tampered(capsys, tmp_path, argv,
+                            lambda doc: doc["algebra"].update(name="nonesuch")) == (
+        USAGE, "", "invalid report: 'nonesuch' names no catalog entry\n")
+
+
+def test_replay_of_the_catalog_listing_lists_it_again(capsys, tmp_path):
+    code, doc = run_json(capsys, "catalog")
+    entries = doc["entries"]
+    assert len(entries) > 1
+    assert _replay_tampered(capsys, tmp_path, ("catalog",),
+                            lambda doc: doc.update(entries=entries[:1])) == (
+        FAIL, f"replay FAIL: entries is {entries}, the report says {entries[:1]}\n", "")
 
 
 @pytest.mark.parametrize("argv,tamper,missing", [

@@ -233,3 +233,35 @@ def test_morphism_zero_image():
 def test_comments_and_blank_lines():
     af = parse_algebra("# header\n\ngen x : 2  # trailing\n")
     assert len(af.algebra.generators) == 1
+
+
+GX_GY = "gen x : 2\ngen y : 3\n"
+
+
+@pytest.mark.parametrize("text,morphism,message,line,col", [
+    ("param 3 = 4\n", None, "expected: param NAME = INT", 1, 1),
+    ("param n 3\n", None, "expected: param NAME = INT", 1, 1),
+    ("param n = 1/2\n", None, "param value must be an integer", 1, 11),
+    ("gen x 2\n", None, "expected: gen NAME : DEGREE", 1, 1),
+    (GX_GY + "d y x^2\n", None, "expected: d NAME = EXPR", 3, 1),
+    ("gen x : 2\nfoo x\n", None, "unknown statement 'foo'", 2, 1),
+    ("gen x : 2 3\n", None, "trailing input '3'", 1, 11),
+    (GX_GY + "d y = x^x\n", None, "exponent must be numeric", 3, 8),
+    ("gen x : *\n", None, "unexpected token '*'", 1, 9),
+    ("gen x : (2 3\n", None, "expected ')', got '3'", 1, 12),
+    (GX_GY + "d y = 3\n", None, "d y must be an algebra element", 3, 1),
+    (GX_GY + "d y = x^2\n", "g x = 2*x\n", "expected: f NAME = EXPR", 1, 1),
+], ids=["param-number-name", "param-without-equals", "param-fraction", "gen-without-colon",
+        "d-without-equals", "unknown-statement", "trailing-input", "symbolic-exponent",
+        "unexpected-token", "unclosed-parenthesis", "numeric-differential", "not-f"])
+def test_parse_errors_name_message_line_and_column(text, morphism, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        alg = parse_algebra(text).algebra
+        parse_morphism(alg, morphism)
+    assert str(exc.value) == f"{message} (line {line}, column {col})"
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_zero_differential_parses_as_zero():
+    alg = parse_algebra(GX_GY + "d y = 0\n").algebra
+    assert not alg.d_gen("y")

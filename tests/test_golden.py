@@ -64,6 +64,17 @@ def test_golden_reports_replay(tmp_path):
         assert result["stdout"] == f"replayed {argv[1]}: {checked}\n", argv
 
 
+def test_golden_dim_and_betti_reports_replay(tmp_path):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    report = tmp_path / "report.json"
+    for argv in _argvs():
+        if argv[1] in ("dim", "betti"):
+            report.write_text(golden[" ".join(argv)]["stdout"], encoding="utf-8")
+            result = _run(["replay", str(report)])
+            replayed = f"replayed {argv[1]}: all certificates verify\n"
+            assert result == {"code": 0, "stdout": replayed}, argv
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(_record(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
