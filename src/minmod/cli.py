@@ -220,10 +220,19 @@ def cmd_betti(args) -> int:
     return _report(args, "betti", af, lines, payload)
 
 
+def _homogeneous(alg, text, prefix=""):
+    """The element ``text`` names, or ParseError when its terms have several degrees."""
+    e = parse_element(alg, text)
+    if e and not e.is_homogeneous():
+        raise ParseError(f"{prefix}expression {text!r} is not homogeneous: "
+                         f"degrees {e.degrees_present()}")
+    return e
+
+
 def cmd_exact(args) -> int:
     af = load_algebra(args.algebra)
     alg = af.algebra
-    e = parse_element(alg, args.expression)
+    e = _homogeneous(alg, args.expression)
     closed = is_closed(alg, e)
     witness = is_exact(alg, e) if closed else None
     lines = [f"closed: {closed}"]
@@ -436,7 +445,7 @@ def _replay_exact(af, doc) -> list:
     """Exact iff a witness is given, and it must verify; a not-exact claim
     carries no certificate, so it is solved again."""
     alg = af.algebra
-    e = parse_element(alg, doc["expression"])
+    e = _homogeneous(alg, doc["expression"], "invalid report: ")
     closed, exact, witness = is_closed(alg, e), doc["exact"], doc["witness"]
     if closed != doc["closed"]:
         return _differ({"closed": closed}, doc)

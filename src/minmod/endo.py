@@ -428,14 +428,24 @@ def volume_degree_polynomial(alg: SullivanAlgebra, ansatz: EndoAnsatz,
     Read by :meth:`VolumeForm.mapping_degree`; unknowns multiplying closed
     complements contribute exact terms that phi kills, so the result only
     involves genuinely free survivors.  Image terms outside phi's support box
-    never reach it, so they are dropped before normalizing; ``ctx.normalize``
-    is a ring map, so normalizing before multiplying equals normalizing after.
+    never reach it, so they are dropped.  ``ctx.normalize`` is a ring map, so
+    normalizing the image terms before multiplying equals normalizing after;
+    and each image term is one unknown (:func:`generic_ansatz`), so normalizing
+    it is a lookup in ``ctx.values``.  Terms whose value is 0 are dropped, as
+    their products would be.
     """
     box = vol.functional.box
+    values = ctx.values
     images = {}
-    for name, img in ansatz.images.items():
-        images[name] = alg.free.element({m: ctx.normalize(c) for m, c in img.terms.items()
-                                         if within(m, box)})
+    for g, row in zip(alg.generators, ansatz.rows):
+        img = ansatz.images[g.name].terms
+        terms = {}
+        for u, m in row:
+            if within(m, box):
+                c = values.get(u, img[m])
+                if c:
+                    terms[m] = c
+        images[g.name] = Element(alg.free, terms)
     lam = vol.mapping_degree(alg, images)
     return lam if isinstance(lam, MPoly) else MPoly.const(lam)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import add, mul
 
-from .gca import Element, FreeGCA, Generator, StructureError, mul_terms
+from .gca import Element, FreeGCA, Generator, StructureError, mul_terms, within
 from .poly import ZERO, add_terms
 
 
@@ -149,28 +149,43 @@ def apply_algebra_map(target: SullivanAlgebra, images: dict, e: Element, box=Non
     """Extend a generator assignment multiplicatively to an element.
 
     ``images`` maps generator names of ``e``'s algebra to Elements of
-    ``target``; Koszul signs come out of monomial multiplication.  Each term
-    of ``e`` is multiplied out one generator factor at a time.  With an
-    exponent tuple ``box`` of ``target``, every partial product keeps only
-    its terms within the box, so the result is exactly the terms of the full
-    image within the box: exponents only grow under multiplication, so a
-    dropped term never leads back into it.
+    ``target``; Koszul signs come out of monomial multiplication.  Each
+    image power is formed once per call: ``powers`` keeps f(x), f(x)^2, ...
+    per generator, only as far as the largest exponent met.  A term c*m of
+    ``e`` starts from c times the power of m's first generator and multiplies
+    that partial product by the powers of the others.  With an
+    exponent tuple ``box`` of ``target``, every power and partial product
+    keeps only its terms within the box, so the result is exactly the terms
+    of the full image within the box: exponents only grow under
+    multiplication, so a dropped term never leads back into it.
     """
     src = e.alg
     free = target.free
+    powers: dict = {}  # generator index -> [f(x), f(x)^2, ...] as term dicts
     out: dict = {}
     for mono, c in e.terms.items():
-        term = {free.unit_monomial: c}
+        term = None
         for i, exp in enumerate(mono):
             if exp:
-                name = src.generators[i].name
-                if name not in images:
-                    raise StructureError(f"no image for generator {name}")
-                img = images[name]
-                if img.alg is not free:
-                    raise StructureError("elements over different generator sets")
-                for _ in range(exp):
-                    term = mul_terms(free, term, img.terms, box)
+                pw = powers.get(i)
+                if pw is None:
+                    name = src.generators[i].name
+                    if name not in images:
+                        raise StructureError(f"no image for generator {name}")
+                    img = images[name]
+                    if img.alg is not free:
+                        raise StructureError("elements over different generator sets")
+                    pw = powers[i] = [img.terms if box is None else
+                                      {m: v for m, v in img.terms.items() if within(m, box)}]
+                while len(pw) < exp:
+                    pw.append(mul_terms(free, pw[-1], pw[0], box))
+                p = pw[exp - 1]
+                if term is not None:
+                    term = mul_terms(free, term, p, box)
+                else:  # the first factor crosses nothing, so it has no sign
+                    term = p if c == 1 else {m: c * v for m, v in p.items()}
+        if term is None:  # the unit monomial
+            term = {free.unit_monomial: c}
         add_terms(out, term.items())
     return Element(free, out)
 

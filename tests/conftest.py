@@ -5,7 +5,7 @@ from functools import lru_cache
 
 from minmod import catalog
 from minmod.cohomology import verify_volume_form
-from minmod.sullivan import ellipticity_certificate
+from minmod.sullivan import ellipticity_certificate, tensor_product
 
 
 def canonical_rational(c) -> bool:
@@ -27,6 +27,22 @@ def certified(key, **params):
     af, cert = built(key, **params)
     vol = verify_volume_form(af.algebra, af.volume, cert)
     return af, cert, vol
+
+
+def product(left, right):
+    """The tensor product of two ``(key, params)`` catalog entries with its
+    verified volume form."""
+    a, cert_a, _ = certified(left[0], **left[1])
+    b, cert_b, _ = certified(right[0], **right[1])
+    prod = tensor_product(a.algebra, b.algebra, cert_a, cert_b, a.volume, b.volume)
+    pv = prod.embed_left(a.volume) * prod.embed_right(b.volume)
+    return prod, verify_volume_form(prod, pv, ellipticity_certificate(prod))
+
+
+# products whose case trees split, from the benchmark's products and casetree units
+PRODUCT_PAIRS = ((("chiral3", {"l": 5}), ("chiral3", {"l": 5})),
+                 (("chiral2", {"l": 4}), ("lower-grading", {})),
+                 (("lower-grading", {}), ("lower-grading", {})))
 
 
 ALL_KEYS = (

@@ -110,6 +110,18 @@ def test_exact_pass_and_fail(capsys):
     assert code == FAIL and "closed: False" in out
 
 
+def test_exact_on_a_non_homogeneous_expression_is_bad_input(capsys):
+    assert run(capsys, "exact", "cp(n=2)", "x + x^2") == (
+        USAGE, "", "expression 'x + x^2' is not homogeneous: degrees [2, 4]\n")
+
+
+def test_replay_of_an_exact_report_with_a_non_homogeneous_expression_is_invalid(capsys,
+                                                                                tmp_path):
+    assert _replay_tampered(capsys, tmp_path, ("exact", "cp(n=2)", "x^2"),
+                            lambda doc: doc.update(expression="x + x^2")) == (
+        USAGE, "", "invalid report: expression 'x + x^2' is not homogeneous: degrees [2, 4]\n")
+
+
 def test_volume_pass(capsys):
     code, doc = run_json(capsys, "volume", "chiral3(l=5)")
     assert code == PASS and doc["verdict"] == "pass"

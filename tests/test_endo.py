@@ -6,10 +6,10 @@ from math import gcd
 import pytest
 from sympy import integer_nthroot
 
-from conftest import ALL_KEYS, built, canonical_rational, certified
+from conftest import ALL_KEYS, PRODUCT_PAIRS, built, canonical_rational, certified, product
 from minmod import endo
 from minmod.cli import main
-from minmod.cohomology import betti, top_class_coefficient, verify_volume_form
+from minmod.cohomology import betti, top_class_coefficient
 from minmod.dsl import parse_morphism
 from minmod.endo import (CaseContext, CaseLeaf, Contradiction, DegreeFamily, EnumerationCap,
                          MonomialEquation, SolverConfig, _Explorer,
@@ -19,7 +19,7 @@ from minmod.endo import (CaseContext, CaseLeaf, Contradiction, DegreeFamily, Enu
                          verify_morphism, volume_degree_polynomial)
 from minmod.linalg import LinearSolver
 from minmod.poly import MPoly, Terms
-from minmod.sullivan import apply_algebra_map, ellipticity_certificate, tensor_product
+from minmod.sullivan import apply_algebra_map
 
 ONE = Fraction(1)
 
@@ -322,20 +322,19 @@ def test_budget_cap_degrades_to_inconclusive():
     assert not v.complete
 
 
-def _product(left, right):
-    """The tensor product of two catalog entries with its verified volume form."""
-    a, cert_a, _ = certified(left[0], **left[1])
-    b, cert_b, _ = certified(right[0], **right[1])
-    prod = tensor_product(a.algebra, b.algebra, cert_a, cert_b, a.volume, b.volume)
-    pv = prod.embed_left(a.volume) * prod.embed_right(b.volume)
-    return prod, verify_volume_form(prod, pv, ellipticity_certificate(prod))
-
-
 def _full_expansion_degree(alg, ansatz, vol, ctx):
-    """phi(f(vol)) with every image term normalized and f(vol) expanded in full."""
-    images = {n: img.alg.element({m: ctx.normalize(c) for m, c in img.terms.items()})
-              for n, img in ansatz.images.items()}
-    lam = vol.functional.apply(apply_algebra_map(alg, images, vol.representative))
+    """phi(f(vol)) with every image term normalized and f(vol) expanded in full,
+    one Element product per generator factor, without ``apply_algebra_map``."""
+    images = [alg.free.element({m: ctx.normalize(c) for m, c in img.terms.items()})
+              for img in map(ansatz.images.get, (g.name for g in alg.generators))]
+    f_vol = alg.free.zero()
+    for mono, c in vol.representative.terms.items():
+        term = alg.free.one().scale(c)
+        for img, exp in zip(images, mono):
+            for _ in range(exp):
+                term = term * img
+        f_vol = f_vol + term
+    lam = vol.functional.apply(f_vol)
     return lam if isinstance(lam, MPoly) else MPoly.const(lam)
 
 
@@ -348,15 +347,12 @@ def test_pruned_degree_matches_full_expansion_at_catalog_roots():
             _full_expansion_degree(af.algebra, ansatz, vol, ctx), key
 
 
-PRODUCT_PAIRS = ((("chiral3", {"l": 5}), ("chiral3", {"l": 5})),
-                 (("chiral2", {"l": 4}), ("lower-grading", {})),
-                 (("lower-grading", {}), ("lower-grading", {})))
 PRODUCT_IDS = ["chiral3xchiral3", "chiral2xlower-grading", "lower-gradingxlower-grading"]
 
 
 @pytest.mark.parametrize("left,right", PRODUCT_PAIRS, ids=PRODUCT_IDS)
 def test_pruned_degree_matches_full_expansion_on_product_case_trees(monkeypatch, left, right):
-    prod, pvol = _product(left, right)
+    prod, pvol = product(left, right)
     reached = []
 
     def recording_simplify(constraints, ctx):
@@ -391,7 +387,7 @@ def test_every_coefficient_is_an_int_or_a_fraction_that_is_not_integral(monkeypa
         for command in ("check", "volume", "spectrum", "flex"):
             main([command, spec])
     for left, right in PRODUCT_PAIRS:
-        degree_spectrum(*_product(left, right), SolverConfig(node_budget=400))
+        degree_spectrum(*product(left, right), SolverConfig(node_budget=400))
     capsys.readouterr()
     assert not bad, bad[:5]
 
@@ -401,7 +397,7 @@ def _certified_volume_cases():
         af, _, vol = certified(key, **params)
         yield key, af.algebra, vol, SolverConfig()
     for (left, right), name in zip(PRODUCT_PAIRS, PRODUCT_IDS):
-        yield (name, *_product(left, right), SolverConfig(node_budget=400))
+        yield (name, *product(left, right), SolverConfig(node_budget=400))
 
 
 def _witnesses(alg, vol, cfg=SolverConfig()):
@@ -443,7 +439,7 @@ OPEN_REASONS = {"node budget exceeded", "case depth exceeded", "no nonconstant f
 def test_every_unresolved_leaf_names_its_reason():
     af, cert, vol = certified("lemma", i=0)
     shallow = degree_spectrum(af.algebra, vol, SolverConfig(case_depth=1))
-    prod, pvol = _product(("lower-grading", {}), ("lower-grading", {}))
+    prod, pvol = product(("lower-grading", {}), ("lower-grading", {}))
     budgeted = degree_spectrum(prod, pvol, SolverConfig(node_budget=400))
     for v in (shallow, budgeted):
         open_leaves = [leaf for leaf in v.leaves if not leaf.resolved]
@@ -455,7 +451,7 @@ def test_every_unresolved_leaf_names_its_reason():
 
 
 def test_each_blocking_polynomial_is_factored_once_per_spectrum(monkeypatch):
-    prod, pvol = _product(("lower-grading", {}), ("lower-grading", {}))
+    prod, pvol = product(("lower-grading", {}), ("lower-grading", {}))
     calls = []
 
     def counting_factor_constraint(p):
@@ -515,7 +511,7 @@ def test_factor_witnesses_tensor_to_morphisms_of_the_product_degree():
     for (left, right), name in zip(PRODUCT_PAIRS, PRODUCT_IDS):
         a, _, vol_a = certified(left[0], **left[1])
         b, _, vol_b = certified(right[0], **right[1])
-        prod, pvol = _product(left, right)
+        prod, pvol = product(left, right)
         verdict = degree_spectrum(prod, pvol, SolverConfig(node_budget=400))
         if verdict.complete and all(isinstance(f, DegreeFamily) for f in verdict.families):
             decided.append(name)

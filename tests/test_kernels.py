@@ -28,11 +28,13 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.polyerrors import CoercionFailed
 
-from conftest import ALL_KEYS, built, canonical_rational, certified
+from conftest import ALL_KEYS, PRODUCT_PAIRS, built, canonical_rational, certified, product
+from minmod import endo, sullivan
 from minmod.cohomology import (ExactnessWitness, TopFunctional, d_matrix, is_closed,
                                is_exact, top_functional_from_volume)
-from minmod.endo import (SIGN_BITS_CAP, EnumerationCap, MonomialEquation, factor_constraint,
-                         generic_ansatz, reduce_modulo, solve_monomial_system)
+from minmod.endo import (SIGN_BITS_CAP, EnumerationCap, MonomialEquation,
+                         SolverConfig, degree_spectrum, factor_constraint, generic_ansatz,
+                         reduce_modulo, simplify, solve_monomial_system)
 from minmod.flexcert import bigraded_cohomology_basis, construct_lower_grading, scaling_images
 from minmod.gca import (Element, FreeGCA, Generator, StructureError, _even_fills,
                         mul_terms, within)
@@ -792,6 +794,74 @@ def test_apply_algebra_map_matches_element_products_on_symbolic_ansatz(key, para
                   reference_apply_algebra_map(alg, images, e, b))
 
 
+@pytest.mark.parametrize("left,right", PRODUCT_PAIRS,
+                         ids=[f"{a[0]}x{b[0]}" for a, b in PRODUCT_PAIRS])
+def test_apply_algebra_map_matches_element_products_on_product_ansatz(monkeypatch, left, right):
+    # the images as they are, then as normalized at every context the case tree reaches
+    prod, vol = product(left, right)
+    reached = []
+
+    def recording_simplify(constraints, ctx):
+        work, ctx = simplify(constraints, ctx)
+        reached.append(ctx)
+        return work, ctx
+
+    monkeypatch.setattr(endo, "simplify", recording_simplify)
+    degree_spectrum(prod, vol, SolverConfig(node_budget=400))
+    assert len(reached) > 1
+    images = generic_ansatz(prod).images
+    rep, box = vol.representative, vol.functional.box
+    # f(vol) of the raw ansatz is too large to expand outside the box
+    _same(apply_algebra_map(prod, images, rep, box),
+          reference_apply_algebra_map(prod, images, rep, box))
+    for dg in prod.diff:
+        _same(apply_algebra_map(prod, images, dg), reference_apply_algebra_map(prod, images, dg))
+    for ctx in reached:
+        normalized = {name: prod.free.element({m: ctx.normalize(c) for m, c in img.terms.items()})
+                      for name, img in images.items()}
+        for b in (box, None):
+            _same(apply_algebra_map(prod, normalized, rep, b),
+                  reference_apply_algebra_map(prod, normalized, rep, b))
+
+
+def test_apply_algebra_map_forms_each_image_power_once(monkeypatch):
+    # chiral2(l=4) (x) lower-grading: x1^8 ... x1^13 in every term of the representative
+    prod, vol = product(("chiral2", {"l": 4}), ("lower-grading", {}))
+    images = generic_ansatz(prod).images
+    rep, box = vol.representative, vol.functional.box
+    top = [max(m[i] for m in rep.terms) for i in range(len(prod.generators))]
+    powers = []  # (generator, k, f(x)^k within the box), nonzero ones only
+    for g, n in zip(prod.generators, top):
+        p = {}
+        for k in range(1, n + 1):
+            p = mul_terms(prod.free, p, images[g.name].terms, box) if p else \
+                {m: c for m, c in images[g.name].terms.items() if within(m, box)}
+            if p:
+                powers.append((g.name, k, p))
+
+    def power(terms):
+        return next(((name, k) for name, k, p in powers if terms == p), None)
+
+    formed = []
+    calls = 0
+
+    def spy(alg, terms1, terms2, box=None):
+        nonlocal calls
+        calls += 1
+        left, right = power(terms1), power(terms2)
+        if left and right and left[0] == right[0]:
+            formed.append((left[0], left[1] + right[1]))
+        return mul_terms(alg, terms1, terms2, box)
+
+    monkeypatch.setattr(sullivan, "mul_terms", spy)
+    f_vol = apply_algebra_map(prod, images, rep, box)
+    assert f_vol == reference_apply_algebra_map(prod, images, rep, box)
+    assert formed and len(formed) == len(set(formed)), formed
+    # one product per generator factor of a term past its first, and one per power past f(x)
+    assert calls <= sum(sum(map(bool, m)) - 1 for m in rep.terms) + \
+        sum(n - 1 for n in top if n), calls
+
+
 SHARED_DEGREE_KEYS = (("chain-reduced", {}), ("chiral1", {"l1": 4, "l2": 2}), ("lower-grading", {}))
 
 
@@ -868,11 +938,6 @@ def _same_functional(alg, vol):
     new = top_functional_from_volume(alg, vol)
     ref = reference_top_functional_from_volume(alg, vol)
     assert list(new.phi.items()) == list(ref.phi.items())
-
-
-PRODUCT_PAIRS = ((("chiral3", {"l": 5}), ("chiral3", {"l": 5})),
-                 (("chiral2", {"l": 4}), ("lower-grading", {})),
-                 (("lower-grading", {}), ("lower-grading", {})))
 
 
 @pytest.mark.parametrize("key,params", ALL_KEYS, ids=[_id(*kp) for kp in ALL_KEYS])
