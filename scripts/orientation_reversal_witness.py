@@ -17,9 +17,10 @@ import sys
 # run from a checkout without installing: minmod lives in ../src
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src"))
 
-from minmod.cli import ERRORS, _build, _volume, error_exit
+from minmod.cli import ERRORS, _build, _declared, _volume, error_exit
 from minmod.dsl import element_str
 from minmod.endo import degree_spectrum, verify_morphism
+from minmod.sullivan import ellipticity_certificate
 
 DEFAULT_PARAMS = {"chiral1": ["l1=4", "l2=2"], "chiral2": ["l=4"]}
 
@@ -29,7 +30,8 @@ def main(argv=None):
     key = argv[0] if argv else "chiral1"
     try:
         af = _build(key, argv[1:] or DEFAULT_PARAMS.get(key, ()))
-        vol = _volume(af)
+        # a missing volume form fails before the search, as in the CLI
+        vol = _volume(_declared(af), ellipticity_certificate(af.algebra))
     except ERRORS as exc:
         return error_exit(exc)
     alg = af.algebra

@@ -7,10 +7,11 @@ recomputes each field no certificate backs with the function the command
 emitted it with, and reports each difference as ``KEY is VALUE, the report
 says STATED``; it verifies the certificates a report carries (ellipticity and
 exactness witnesses, the top functional, morphisms and their degrees) and
-derives the verdict again.  Not-elliptic and not-exact claims, and the
-ellipticity certificate a ``dim``, ``volume``, ``spectrum``, ``flex`` or
-``verify`` report needs, are solved again.  A spectrum's ``classification``
-and ``complete`` are not replayed.
+derives the verdict again.  Every command that finds an ellipticity
+certificate carries it (``check``, ``dim``, ``volume``, ``spectrum``, ``flex``,
+and ``verify`` with a volume), and replay verifies it and never searches for
+it.  Not-elliptic and not-exact claims are solved again.  A spectrum's
+``classification`` and ``complete`` are not replayed.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 inconclusive,
 3 usage or parse error.
@@ -22,7 +23,6 @@ import argparse
 import json
 import re
 import sys
-from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -173,36 +173,42 @@ def _check_fields(alg) -> dict:
     return {"d_squared": bool(check_d_squared(alg)), "minimal": bool(check_minimality(alg))}
 
 
+def _ellipticity(alg):
+    """The ellipticity certificate the search finds, and the report field that
+    carries it; replay reads that field with ``_carried_ellipticity``."""
+    cert = ellipticity_certificate(alg)
+    return cert, {"ellipticity": [{"generator": name, "exponent": n, "witness": element_str(w)}
+                                  for name, (n, w) in sorted(cert.powers.items())]}
+
+
 def cmd_check(args) -> int:
     af = load_algebra(args.algebra)
     alg = af.algebra
     checks = _check_fields(alg)
     lines = [f"d^2 = 0: {'pass' if checks['d_squared'] else 'FAIL'}",
              f"minimal: {'pass' if checks['minimal'] else 'FAIL'}"]
-    witnesses = []
     try:
-        cert = ellipticity_certificate(alg)
+        _, carried = _ellipticity(alg)
     except Undecided as exc:
-        elliptic = False
+        elliptic, carried = False, {"ellipticity": []}
         lines.append(f"ellipticity: inconclusive at {exc.generator} ({exc.reason})")
     else:
         elliptic = True
-        for name, (n, w) in sorted(cert.powers.items()):
-            lines.append(f"elliptic: {name}^{n} exact")
-            witnesses.append({"generator": name, "exponent": n, "witness": element_str(w)})
-    payload = {"checks": {**checks, "elliptic": elliptic},
-               "certificates": {"ellipticity": witnesses}}
+        lines += [f"elliptic: {c['generator']}^{c['exponent']} exact"
+                  for c in carried["ellipticity"]]
+    payload = {"checks": {**checks, "elliptic": elliptic}, "certificates": carried}
     lines.append(_verdict("check", payload))
     return _report(args, "check", af, lines, payload)
 
 
-def _dim_fields(af) -> dict:
-    return {"dimension": formal_dimension(af.algebra, ellipticity_certificate(af.algebra))}
+def _dim_fields(af, cert) -> dict:
+    return {"dimension": formal_dimension(af.algebra, cert)}
 
 
 def cmd_dim(args) -> int:
     af = load_algebra(args.algebra)
-    payload = _dim_fields(af)
+    cert, carried = _ellipticity(af.algebra)
+    payload = {**_dim_fields(af, cert), "certificates": carried}
     return _report(args, "dim", af, [str(payload["dimension"])], payload)
 
 
@@ -245,28 +251,38 @@ def cmd_exact(args) -> int:
         "witness": element_str(witness.preimage) if witness else None})
 
 
+def _declared(af: AlgebraFile) -> AlgebraFile:
+    """``af``, which must declare a volume form; a command checks this before it searches."""
+    if af.volume is None:
+        raise StructureError("the presentation declares no volume form")
+    return af
+
+
+def _volume(af: AlgebraFile, cert):
+    """The declared volume form, verified with the ellipticity certificate ``cert``."""
+    return verify_volume_form(af.algebra, _declared(af).volume, cert)
+
+
 def cmd_volume(args) -> int:
-    af = load_algebra(args.algebra)
+    af = _declared(load_algebra(args.algebra))
+    cert, carried = _ellipticity(af.algebra)
     try:
-        vol = _volume(af)
+        vol = _volume(af, cert)
     except VolumeRejection as exc:
-        return _report(args, "volume", af, [f"rejected: {exc.reason}"], {"rejected": exc.reason})
+        return _report(args, "volume", af, [f"rejected: {exc.reason}"],
+                       {"rejected": exc.reason, "certificates": carried})
     phi = [{"monomial": af.algebra.free.monomial_str(m), "value": _q(c)}
            for m, c in sorted(vol.functional.phi.items()) if c]
     lines = [f"volume form verified in degree {vol.degree}"]
     return _report(args, "volume", af, lines, {
-        "degree": vol.degree, "representative": element_str(vol.representative), "functional": phi})
-
-
-def _volume(af: AlgebraFile):
-    if af.volume is None:
-        raise StructureError("the presentation declares no volume form")
-    return verify_volume_form(af.algebra, af.volume, ellipticity_certificate(af.algebra))
+        "degree": vol.degree, "representative": element_str(vol.representative), "functional": phi,
+        "certificates": carried})
 
 
 def cmd_spectrum(args) -> int:
-    af = load_algebra(args.algebra)
-    vol = _volume(af)
+    af = _declared(load_algebra(args.algebra))
+    cert, carried = _ellipticity(af.algebra)
+    vol = _volume(af, cert)
     verdict = degree_spectrum(af.algebra, vol, SolverConfig(case_depth=args.case_depth))
     witnesses = []
     for leaf in verdict.leaves:
@@ -283,7 +299,7 @@ def cmd_spectrum(args) -> int:
     return _report(args, "spectrum", af, lines, {
         "classification": verdict.classification, "spectrum": [_q(q) for q in verdict.spectrum],
         "families": [f.describe() for f in verdict.families], "flexible": verdict.flexible,
-        "complete": verdict.complete, "witnesses": witnesses})
+        "complete": verdict.complete, "witnesses": witnesses, "certificates": carried})
 
 
 def _flex_fields(alg):
@@ -303,10 +319,12 @@ def _flex_fields(alg):
 
 
 def cmd_flex(args) -> int:
-    af = load_algebra(args.algebra)
+    af = _declared(load_algebra(args.algebra))
     alg = af.algebra
-    vol = _volume(af)
+    cert, carried = _ellipticity(alg)
+    vol = _volume(af, cert)
     payload, lines, grading = _flex_fields(alg)
+    payload["certificates"] = carried
     if not payload["condition"]:
         lines.append("no scaling certificate")
         return _report(args, "flex", af, lines, payload)
@@ -326,9 +344,9 @@ def cmd_flex(args) -> int:
     return _report(args, "flex", af, lines, payload)
 
 
-def _verify_fields(af, images) -> dict:
+def _verify_fields(af, images, cert) -> dict:
     """Whether ``images`` is a morphism, where not, and its degree if there is a volume."""
-    vol = _volume(af) if af.volume is not None else None
+    vol = _volume(af, cert) if af.volume is not None else None
     report = verify_morphism(af.algebra, images, vol)
     return {"valid": report.valid, "failing": report.failing, "degree": _q(report.degree)}
 
@@ -336,7 +354,8 @@ def _verify_fields(af, images) -> dict:
 def cmd_verify(args) -> int:
     af = load_algebra(args.algebra)
     images = parse_morphism(af.algebra, _read(args.morphism))
-    payload = _verify_fields(af, images)
+    cert, carried = _ellipticity(af.algebra) if af.volume is not None else (None, None)
+    payload = _verify_fields(af, images, cert)
     if not payload["valid"]:
         lines = [f"not a morphism: fails at {payload['failing']}"]
     elif payload["degree"] is None:
@@ -344,6 +363,8 @@ def cmd_verify(args) -> int:
     else:
         lines = ["valid morphism", f"degree: {payload['degree']}"]
     payload["morphism"] = _morphism_lines(images)
+    if carried:
+        payload["certificates"] = carried
     return _report(args, "verify", af, lines, payload)
 
 
@@ -376,13 +397,23 @@ REPLAYED = {"spectrum": "witnesses, spectrum and flexible verify; "
                         "classification and complete are not replayed"}
 
 
+class _Unverified(Exception):
+    """A carried certificate fails; replay checks nothing that rests on it."""
+
+
 def cmd_replay(args) -> int:
     import jsonschema
 
+    text = _read(args.report)
     try:
-        doc = json.loads(_read(args.report))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid report: not JSON ({exc.msg}, line {exc.lineno})")
+    except ValueError:  # an integer literal past Python's conversion limit
+        raise ParseError("invalid report: an integer has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+    except RecursionError:
+        raise ParseError("invalid report: nested too deeply") from None
     try:
         validate_report(doc)
     except jsonschema.ValidationError as exc:
@@ -391,7 +422,10 @@ def cmd_replay(args) -> int:
     command = doc["command"]
     af = (parse_algebra(doc["algebra"]["source"], name=doc["algebra"]["name"])
           if "algebra" in doc else None)
-    failures = REPLAYS[command](af, doc)
+    try:
+        failures = REPLAYS[command](af, doc)
+    except _Unverified as exc:
+        failures = [str(exc)]
     verdict = _verdict(command, doc)
     if doc["verdict"] != verdict:
         failures.append(f"the report's fields give verdict {verdict}, it says {doc['verdict']}")
@@ -420,25 +454,39 @@ def _replay_catalog(af, doc) -> list:
                    {"source": doc["algebra"]["source"].splitlines()})
 
 
+def _carried_ellipticity(alg, doc) -> EllipticityCertificate:
+    """The ellipticity certificate a report carries, verified and never searched
+    for: a witness w, d(w) = x^N, for each even generator x (none: an empty list)."""
+    if "certificates" not in doc:  # a verify report, which needs it only with a volume
+        raise ParseError("invalid report: 'certificates' is a required property")
+    carried = doc["certificates"]["ellipticity"]
+    names = sorted(c["generator"] for c in carried)
+    even = sorted(g.name for g in alg.generators if not g.is_odd)
+    if names != even:
+        raise _Unverified(f"ellipticity witnesses for {names}, expected {even}")
+    powers = {c["generator"]: (c["exponent"], parse_element(alg, c["witness"])) for c in carried}
+    cert = EllipticityCertificate(alg, powers)
+    if not cert.replay():
+        raise _Unverified("ellipticity witnesses do not verify")
+    return cert
+
+
 def _replay_check(af, doc) -> list:
-    """Recompute d^2 = 0 and minimality; replay one witness per even generator.
-    A not-elliptic claim carries no certificate, so the search runs again."""
+    """Recompute d^2 = 0 and minimality and verify the carried certificate; a
+    not-elliptic claim carries none, so the search runs again."""
     alg = af.algebra
     checks = doc["checks"]
     failures = _differ(_check_fields(alg), checks)
-    certs = doc["certificates"]["ellipticity"]
-    names = sorted(c["generator"] for c in certs)
-    even = sorted(g.name for g in alg.generators if not g.is_odd) if checks["elliptic"] else []
-    powers = {c["generator"]: (c["exponent"], parse_element(alg, c["witness"])) for c in certs}
-    if names != even:
-        failures.append(f"ellipticity witnesses for {names}, expected {even}")
-    elif not checks["elliptic"]:
-        with suppress(Undecided):
+    try:
+        if checks["elliptic"] or doc["certificates"]["ellipticity"]:
+            _carried_ellipticity(alg, doc)
+        else:
             ellipticity_certificate(alg)
-            failures += _differ({"elliptic": True}, checks)
-    elif not EllipticityCertificate(alg, powers).replay():
-        failures.append("ellipticity witnesses do not verify")
-    return failures
+    except _Unverified as exc:
+        return failures + [str(exc)]
+    except Undecided:
+        return failures
+    return failures + _differ({"elliptic": True}, checks)
 
 
 def _replay_exact(af, doc) -> list:
@@ -478,18 +526,19 @@ def _functional_monomial(alg, text):
 
 
 def _replay_volume(af, doc) -> list:
+    alg = af.algebra
+    cert = _carried_ellipticity(alg, doc)
     if "rejected" in doc:
         try:
-            _volume(af)
+            _volume(af, cert)
         except VolumeRejection as exc:
             if exc.reason == doc["rejected"]:
                 return []
             return [f"volume rejected for {exc.reason!r}, the report says {doc['rejected']!r}"]
         return [f"volume form verifies, the report says rejected for {doc['rejected']!r}"]
-    alg = af.algebra
     rep = parse_element(alg, doc["representative"])
     try:
-        top = check_volume_representative(alg, rep, ellipticity_certificate(alg))
+        top = check_volume_representative(alg, rep, cert)
     except VolumeRejection as exc:
         return [exc.reason]
     phi = {}
@@ -514,7 +563,7 @@ def _replay_spectrum(af, doc) -> list:
     there are families.  The case analysis is not replayed, so neither are
     ``classification`` and ``complete``."""
     alg = af.algebra
-    vol = _volume(af)
+    vol = _volume(af, _carried_ellipticity(alg, doc))
     # the zero map attains degree 0 in every algebra, so 0 needs no witness
     attained = {0} | {_rational(w["degree"]) for w in doc["witnesses"]}
     failures = [f"spectrum constant {q} has no witness of that degree"
@@ -529,7 +578,7 @@ def _replay_flex(af, doc) -> list:
     """Recompute the structural fields and class counts; re-verify the scaling
     morphism and each multiple, and their degrees."""
     alg = af.algebra
-    vol = _volume(af)
+    vol = _volume(af, _carried_ellipticity(alg, doc))
     missing = [g.name for g in alg.generators if g.name not in doc["grading"]]
     if missing:
         raise ParseError(f"invalid report: grading has no level for {missing[0]!r}")
@@ -579,15 +628,20 @@ def _images(alg, lines) -> dict:
     return parse_morphism(alg, "\n".join(lines))
 
 
+def _replay_verify(af, doc) -> list:
+    """Recompute the fields; a stated degree is read as a rational, so 32/2 states 16."""
+    images = _images(af.algebra, doc["morphism"])
+    cert = _carried_ellipticity(af.algebra, doc) if af.volume is not None else None
+    return _differ(_verify_fields(af, images, cert), dict(doc, degree=_q(_rational(doc["degree"]))))
+
+
 # each command's replay of (the report's algebra, None for a listing; the report)
 REPLAYS = {
     "catalog": _replay_catalog, "check": _replay_check, "exact": _replay_exact,
     "volume": _replay_volume, "spectrum": _replay_spectrum, "flex": _replay_flex,
-    "dim": lambda af, doc: _differ(_dim_fields(af), doc),
+    "dim": lambda af, doc: _differ(_dim_fields(af, _carried_ellipticity(af.algebra, doc)), doc),
     "betti": lambda af, doc: _differ(_betti_fields(af, doc["max_degree"]), doc),
-    # a stated degree is read as a rational, so 32/2 states 16
-    "verify": lambda af, doc: _differ(_verify_fields(af, _images(af.algebra, doc["morphism"])),
-                                      dict(doc, degree=_q(_rational(doc["degree"])))),
+    "verify": _replay_verify,
 }
 
 

@@ -19,6 +19,7 @@ stay readable.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,7 +163,11 @@ class _ExprParser:
             self.take(")")
             return v
         if t.kind == "num":
-            return int(t.value)
+            try:
+                return int(t.value)
+            except ValueError:  # past Python's integer conversion limit
+                raise ParseError(f"integer literal has more than {sys.get_int_max_str_digits()} "
+                                 "digits", t.line, t.col) from None
         if t.kind == "name":
             if t.value not in self.symbols:
                 raise ParseError(f"unknown name {t.value!r}", t.line, t.col)

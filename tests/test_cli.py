@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from importlib import resources
 
 import jsonschema
@@ -55,7 +56,7 @@ NOT_ELLIPTIC = "gen x : 2\ngen y : 3\nvolume x*y\n"
 NOT_CLOSED = "gen x : 2\ngen y : 3\ngen a : 3\ngen w : 4\nd y = x^2\nd w = x*a\nvolume a\n"
 
 
-def _inconclusive_for_every_command(capsys, tmp_path, source, generator, reason):
+def _inconclusive_for_every_command(capsys, tmp_path, source, generator, reason, replayed):
     alg = tmp_path / "source.alg"
     alg.write_text(source)
     identity = tmp_path / "identity.mor"
@@ -66,18 +67,22 @@ def _inconclusive_for_every_command(capsys, tmp_path, source, generator, reason)
     inconclusive = (INCONCLUSIVE, "", f"ellipticity inconclusive at {generator}\n")
     for argv in (("dim",), ("volume",), ("spectrum",), ("flex",), ("verify", str(identity))):
         assert run(capsys, argv[0], str(alg), *argv[1:]) == inconclusive, argv
-    # replay reaches the formal dimension and the volume form the way the commands do
+    # replay does not search: it stops at the carried cp(n=2) certificate,
+    # which fails for this source
     for command in ("dim", "spectrum"):
         assert _replay_tampered(capsys, tmp_path, (command, "cp(n=2)"),
-                                lambda doc: doc["algebra"].update(source=source)) == inconclusive
+                                lambda doc: doc["algebra"].update(source=source)) == (
+            FAIL, f"replay FAIL: {replayed}\n", "")
 
 
 def test_inconclusive_ellipticity_is_inconclusive_for_every_command(capsys, tmp_path):
-    _inconclusive_for_every_command(capsys, tmp_path, NOT_ELLIPTIC, "x", "bound 3")
+    _inconclusive_for_every_command(capsys, tmp_path, NOT_ELLIPTIC, "x", "bound 3",
+                                    "ellipticity witnesses do not verify")
 
 
 def test_non_closed_even_generator_is_inconclusive_for_every_command(capsys, tmp_path):
-    _inconclusive_for_every_command(capsys, tmp_path, NOT_CLOSED, "w", "not closed")
+    _inconclusive_for_every_command(capsys, tmp_path, NOT_CLOSED, "w", "not closed",
+                                    "ellipticity witnesses for ['x'], expected ['w', 'x']")
 
 
 def test_dim(capsys):
@@ -213,6 +218,8 @@ def test_replay_reads_a_verify_degree_as_a_rational(capsys, tmp_path):
     ("betti", "sphere(k=6)", "--max-degree", "6"),
     ("exact", "lemma(i=0)", "x1^19"),
     ("volume", "chiral3(l=5)"),
+    # no even generator, so its certificate is an empty list
+    ("volume", "lower-grading"),
     ("spectrum", "chiral3(l=5)"),
     ("flex", "lower-grading"),
 ])
@@ -292,6 +299,35 @@ def test_replay_check_recomputes_the_checks_and_needs_every_witness(capsys, tmp_
     code, out, _ = _replay_tampered(capsys, tmp_path, ("check", "cp(n=2)"), tamper)
     assert code == FAIL
     assert out.splitlines() == [f"replay FAIL: {r}" for r in reasons]
+
+
+@pytest.mark.parametrize("tamper,reason", [
+    (lambda doc, other: doc["certificates"]["ellipticity"].pop(),
+     "ellipticity witnesses for [], expected ['x']"),
+    (lambda doc, other: doc["certificates"]["ellipticity"][0].update(exponent=10),
+     "ellipticity witnesses do not verify"),
+    (lambda doc, other: doc.update(certificates=other), "ellipticity witnesses do not verify"),
+], ids=["generator-dropped", "exponent-raised", "another-algebras-witness"])
+@pytest.mark.parametrize("argv", [
+    ("check", "cp(n=4)"),
+    ("dim", "cp(n=4)"),
+    ("volume", "cp(n=4)"),
+    ("spectrum", "cp(n=4)"),
+    ("flex", "cp(n=4)"),
+    ("verify", "cp(n=4)", "{morphism}"),
+], ids=lambda argv: argv[0])
+def test_replay_verifies_the_carried_ellipticity_certificate(capsys, tmp_path, argv, tamper,
+                                                              reason):
+    morphism = tmp_path / "f.mor"
+    morphism.write_text("f x = 2*x\nf y = 512*y\n")
+    argv = [a.format(morphism=morphism) for a in argv]
+    # another algebra's certificate for the same generator: d y = x^3 in cp(n=2)
+    other = run_json(capsys, "check", "cp(n=2)")[1]["certificates"]
+    code, doc = run_json(capsys, *argv)
+    assert (code, doc["certificates"]) == (
+        PASS, {"ellipticity": [{"generator": "x", "exponent": 9, "witness": "y"}]})
+    assert _replay_tampered(capsys, tmp_path, argv, lambda doc: tamper(doc, other)) == (
+        FAIL, f"replay FAIL: {reason}\n", "")
 
 
 def test_replay_of_an_undecided_check_searches_again(capsys, tmp_path):
@@ -465,10 +501,17 @@ def test_replay_of_the_catalog_listing_lists_it_again(capsys, tmp_path):
     (("volume", "cp(n=2)"), lambda doc: doc.pop("functional"), "functional"),
     (("flex", "lower-grading"),
      lambda doc: [m.pop(k) for m in doc["multiples"] for k in ("degree", "classes")], "degree"),
+    (("dim", "cp(n=2)"), lambda doc: doc.pop("certificates"), "certificates"),
+    # the schema cannot tell that the algebra declares a volume; replay can
+    (("verify", "cp(n=2)", "{morphism}"), lambda doc: doc.pop("certificates"), "certificates"),
 ], ids=["bare-check", "spectrum-without-witnesses", "volume-without-functional",
-        "flex-multiples-without-degree-and-classes"])
+        "flex-multiples-without-degree-and-classes", "dim-without-certificates",
+        "verify-with-a-volume-without-certificates"])
 def test_replay_rejects_a_report_without_its_command_fields(capsys, tmp_path, argv, tamper,
                                                            missing):
+    morphism = tmp_path / "f.mor"
+    morphism.write_text("f x = 2*x\nf y = 32*y\n")
+    argv = [a.format(morphism=morphism) for a in argv]
     code, out, err = _replay_tampered(capsys, tmp_path, argv, tamper)
     assert code == USAGE and not out
     assert err == f"invalid report: {missing!r} is a required property\n"
@@ -501,16 +544,20 @@ NOT_A_COMPLEX = "gen x : 2\ngen y : 3\ngen u : 3\ngen z : 7\nd y = x^2\nd z = x*
 
 
 NOT_ELLIPTIC_VOLUME = (INCONCLUSIVE, "", "ellipticity inconclusive at x\n")
+UNVERIFIED = (FAIL, "replay FAIL: ellipticity witnesses do not verify\n", "")
+# d y = x^2 in NOT_A_COMPLEX, where cp(n=2)'s certificate states d y = x^3
+NOT_A_COMPLEX_CERTIFICATE = [{"generator": "x", "exponent": 2, "witness": "y"}]
 
 
-@pytest.mark.parametrize("source,representative,degree,emitted,replayed", [
-    ("gen x : 2\ngen y : 3\n", "x", 2, NOT_ELLIPTIC_VOLUME, NOT_ELLIPTIC_VOLUME),
-    (NOT_A_COMPLEX, "x*u*z", 12, (FAIL, "rejected: d^2 != 0\n", ""),
+@pytest.mark.parametrize("source,representative,degree,certificate,emitted,replayed", [
+    ("gen x : 2\ngen y : 3\n", "x", 2, None, NOT_ELLIPTIC_VOLUME, UNVERIFIED),
+    (NOT_A_COMPLEX, "x*u*z", 12, NOT_A_COMPLEX_CERTIFICATE, (FAIL, "rejected: d^2 != 0\n", ""),
      (FAIL, "replay FAIL: d^2 != 0\n", "")),
-], ids=["not-elliptic", "d-squared"])
+    (NOT_A_COMPLEX, "x*u*z", 12, None, (FAIL, "rejected: d^2 != 0\n", ""), UNVERIFIED),
+], ids=["not-elliptic", "d-squared", "d-squared-with-cp-certificate"])
 def test_replay_volume_checks_the_algebra_as_volume_does(capsys, tmp_path, source,
-                                                         representative, degree, emitted,
-                                                         replayed):
+                                                         representative, degree, certificate,
+                                                         emitted, replayed):
     alg = tmp_path / "source.alg"
     alg.write_text(source + f"volume {representative}\n")
     assert run(capsys, "volume", str(alg)) == emitted
@@ -519,6 +566,8 @@ def test_replay_volume_checks_the_algebra_as_volume_does(capsys, tmp_path, sourc
         doc["algebra"]["source"] = source
         doc.update(degree=degree, representative=representative,
                    functional=[{"monomial": representative, "value": "1"}])
+        if certificate is not None:
+            doc["certificates"]["ellipticity"] = certificate
     assert _replay_tampered(capsys, tmp_path, ("volume", "cp(n=2)"), tamper) == replayed
 
 
@@ -649,6 +698,10 @@ def test_usage_errors(capsys, tmp_path):
     bad = tmp_path / "bad.alg"
     bad.write_text("gen x : 1\n")
     assert run(capsys, "check", str(bad))[0] == USAGE
+    bad.write_text("gen x : 1" + "0" * 5000 + "\n")
+    assert run(capsys, "check", str(bad)) == (
+        USAGE, "", f"integer literal has more than {sys.get_int_max_str_digits()} digits "
+                   "(line 1, column 9)\n")
 
 
 @pytest.mark.parametrize("command,spec,flag", [
@@ -684,6 +737,17 @@ def test_unreadable_morphism_or_report_is_a_one_line_usage_error(capsys, tmp_pat
     p.write_bytes(b"\xff\xfe{}")
     code, out, err = run(capsys, "replay", str(p))
     assert (code, out, err) == (USAGE, "", f"cannot read {str(p)!r}: not UTF-8 text\n")
+
+
+@pytest.mark.parametrize("text,reason", [
+    ('{"schema": ' + "1" * 5000 + "}",
+     f"an integer has more than {sys.get_int_max_str_digits()} digits"),
+    ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+], ids=["long-integer", "deep-nesting"])
+def test_replay_of_json_past_pythons_limits_is_an_invalid_report(capsys, tmp_path, text, reason):
+    p = tmp_path / "report.json"
+    p.write_text(text)
+    assert run(capsys, "replay", str(p)) == (USAGE, "", f"invalid report: {reason}\n")
 
 
 @pytest.mark.parametrize("argv", [

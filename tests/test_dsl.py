@@ -1,5 +1,6 @@
 """Parsing, semantic validation, and round-trip printing."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -251,9 +252,12 @@ GX_GY = "gen x : 2\ngen y : 3\n"
     ("gen x : (2 3\n", None, "expected ')', got '3'", 1, 12),
     (GX_GY + "d y = 3\n", None, "d y must be an algebra element", 3, 1),
     (GX_GY + "d y = x^2\n", "g x = 2*x\n", "expected: f NAME = EXPR", 1, 1),
+    (GX_GY + "d y = x^1" + "0" * 5000 + "\n", None,
+     f"integer literal has more than {sys.get_int_max_str_digits()} digits", 3, 9),
 ], ids=["param-number-name", "param-without-equals", "param-fraction", "gen-without-colon",
         "d-without-equals", "unknown-statement", "trailing-input", "symbolic-exponent",
-        "unexpected-token", "unclosed-parenthesis", "numeric-differential", "not-f"])
+        "unexpected-token", "unclosed-parenthesis", "numeric-differential", "not-f",
+        "integer-past-the-digit-limit"])
 def test_parse_errors_name_message_line_and_column(text, morphism, message, line, col):
     with pytest.raises(ParseError) as exc:
         alg = parse_algebra(text).algebra

@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 
 from conftest import ALL_KEYS
+from minmod import cli
 from minmod.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "reports.json"
@@ -73,6 +74,25 @@ def test_golden_dim_and_betti_reports_replay(tmp_path):
             result = _run(["replay", str(report)])
             replayed = f"replayed {argv[1]}: all certificates verify\n"
             assert result == {"code": 0, "stdout": replayed}, argv
+
+
+def test_replay_searches_for_a_certificate_only_for_a_not_elliptic_check(tmp_path, monkeypatch):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    source = tmp_path / "free.alg"
+    source.write_text("gen x : 2\ngen y : 3\n")
+    undecided = _run(["--json", "check", str(source)])
+    assert undecided["code"] == cli.INCONCLUSIVE
+    searched = []
+    search = cli.ellipticity_certificate
+    monkeypatch.setattr(cli, "ellipticity_certificate",
+                        lambda alg: searched.append(alg.name) or search(alg))
+    report = tmp_path / "report.json"
+    for argv in _argvs():
+        report.write_text(golden[" ".join(argv)]["stdout"], encoding="utf-8")
+        assert _run(["replay", str(report)])["code"] == cli.PASS, argv
+    report.write_text(undecided["stdout"], encoding="utf-8")
+    assert _run(["replay", str(report)])["code"] == cli.PASS
+    assert searched == [str(source)]
 
 
 if __name__ == "__main__":
