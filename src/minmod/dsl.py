@@ -18,6 +18,7 @@ stay readable.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -74,6 +75,20 @@ def _statements(text: str):
         line = raw.split("#", 1)[0].rstrip()
         if line:
             yield line_no, _tokenize(line, line_no)
+
+
+def _power_fits(base, exp: int) -> bool:
+    """Whether the rational base^exp stays within Python's integer digit limit
+    (0: none), decided before the power is formed: by logarithms far from the
+    limit, and exactly on powers of at most about that many digits."""
+    limit = sys.get_int_max_str_digits()
+    parts = [abs(n) for n in (base.numerator, base.denominator) if abs(n) > 1]
+    if not limit or not parts:
+        return True
+    # exp * log10(n) > limit + 1, compared without a float overflow for a huge exp
+    if any(exp > (limit + 1) / math.log10(n) for n in parts):
+        return False
+    return all(n ** exp < 10 ** limit for n in parts)
 
 
 class _ExprParser:
@@ -150,6 +165,9 @@ class _ExprParser:
                 exp = int(exp)
             else:
                 raise ParseError("exponent must be numeric", t.line, t.col)
+            if isinstance(base, _NUMBER) and not _power_fits(base, exp):
+                raise ParseError(f"power has more than {sys.get_int_max_str_digits()} digits",
+                                 t.line, t.col)
             result = base ** exp
             if isinstance(base, Element) and base and exp >= 2 and not result:
                 raise ParseError("power vanishes: odd factor squared", t.line, t.col)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .cohomology import VolumeForm
 from .gca import Element, StructureError, within
@@ -243,10 +243,13 @@ def simplify(constraints, ctx: CaseContext):
 
 
 # -- sympy-backed factoring ------------------------------------------------
-# A polynomial crosses to sympy's sparse polynomial rings (sympy.polys.rings)
-# dict to dict, with no symbolic expression on either side.  sympy is
-# imported inside each function that uses it, so that a process which never
-# splits a case never pays for loading it.
+# The case tree's constraints are mostly binomials, and its degrees mostly
+# ideal members, so each function first settles the common case exactly: an
+# irreducible binomial by rule, a member by division by the constraints.
+# Everything else crosses to sympy's sparse polynomial rings
+# (sympy.polys.rings) dict to dict, with no symbolic expression on either
+# side.  sympy is imported inside each function that uses it, so that a
+# process which never splits a case never pays for loading it.
 
 
 def _to_ring(p: MPoly, ring):
@@ -267,6 +270,32 @@ def _from_ring(f) -> MPoly:
                   quotient(int(c.numerator), int(c.denominator)) for exps, c in f.items()})
 
 
+def _irreducible_binomial(q: MPoly, names):
+    """q, an integral cofactor free of monomial content on the generators
+    ``names``, in the normal form of sympy's ``factor_list`` if it is a
+    binomial irreducible by rule; None otherwise.
+
+    Its two monomials share no unknown.  With at least two unknowns and one
+    of them, v, to the first power, q = a*v + b for coprime monomials a and b
+    free of v: primitive of degree 1 in v, hence irreducible over Q (Gauss's
+    lemma).  The normal form has coprime integer coefficients and a positive
+    one on the lex-leading term.
+    """
+    if len(names) < 2 or len(q.terms) != 2 or all(e != 1 for k in q.terms for _, e in k):
+        return None
+    at = {v: i for i, v in enumerate(names)}
+
+    def lex(term):
+        exps = [0] * len(names)
+        for v, e in term[0]:
+            exps[at[v]] = e
+        return exps
+
+    (k1, c1), (k2, c2) = sorted(q.terms.items(), key=lex, reverse=True)
+    g = gcd(c1, c2) if c1 > 0 else -gcd(c1, c2)
+    return MPoly({k1: c1 // g, k2: c2 // g})
+
+
 def factor_constraint(p: MPoly) -> list:
     """Distinct irreducible factors over Q (constants and multiplicity dropped).
 
@@ -278,6 +307,9 @@ def factor_constraint(p: MPoly) -> list:
     then by numeric suffix: k2 < k10).  All factors are then sorted by
     (length of the dense representation, number of generators, multiplicity,
     dense representation), and ties keep the unknowns' name order.
+
+    A cofactor that ``_irreducible_binomial`` settles is its own factor, and
+    sympy is not called; every other cofactor goes to ``factor_list``.
     """
     from sympy.polys.polyutils import _sort_gens
     from sympy.polys.rings import PolyRing
@@ -289,9 +321,17 @@ def factor_constraint(p: MPoly) -> list:
     names = _sort_gens(cofactor.variables())
     if names:
         cofactor = cofactor.scale(lcm(*(c.denominator for c in cofactor.terms.values())))
-        _, factors = _to_ring(cofactor, PolyRing(names, "ZZ", "lex")).factor_list()
-        pieces += [((len(rep := f.to_dense()), len(names), k, rep), _from_ring(f))
-                   for f, k in factors]
+        binomial = _irreducible_binomial(cofactor, names)
+        if binomial is not None:
+            # the first two entries of its key, dense length (degree in the
+            # first generator, plus 1) and generator count, already exceed
+            # the (2, 1) of every content piece
+            degree = max(e for k in binomial.terms for v, e in k if v == names[0])
+            pieces.append(((degree + 1, len(names)), binomial))
+        else:
+            _, factors = _to_ring(cofactor, PolyRing(names, "ZZ", "lex")).factor_list()
+            pieces += [((len(rep := f.to_dense()), len(names), k, rep), _from_ring(f))
+                       for f, k in factors]
     return [f for _, f in sorted(pieces, key=lambda piece: piece[0])]
 
 
@@ -301,7 +341,9 @@ def reduce_modulo(p: MPoly, polys) -> MPoly:
 
     p and the remainder agree on the constraint variety, so the mapping
     degree may be read off the remainder; in particular a zero remainder
-    proves the degree vanishes on the whole case.
+    proves the degree vanishes on the whole case.  p is first divided by the
+    constraints themselves: a zero remainder there proves p is in the ideal,
+    whose normal form is 0, and the basis is built only when it is nonzero.
     """
     from sympy.polys.groebnertools import groebner
     from sympy.polys.rings import PolyRing
@@ -311,8 +353,10 @@ def reduce_modulo(p: MPoly, polys) -> MPoly:
         return p
     names = sorted({v for q in polys for v in q.variables()} | p.variables())
     ring = PolyRing(names, "QQ", "grevlex")
-    basis = groebner([_to_ring(q, ring) for q in polys], ring)
-    return _from_ring(_to_ring(p, ring).rem(basis))
+    f, gens = _to_ring(p, ring), [_to_ring(q, ring) for q in polys]
+    if not f.rem(gens):
+        return MPoly()
+    return _from_ring(f.rem(groebner(gens, ring)))
 
 
 # -- monomial equation systems ---------------------------------------------

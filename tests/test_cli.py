@@ -704,6 +704,15 @@ def test_usage_errors(capsys, tmp_path):
                    "(line 1, column 9)\n")
 
 
+def test_a_degree_past_the_digit_limit_is_a_usage_error(capsys, tmp_path):
+    # it used to parse, pass check, and crash dim when printed
+    p = tmp_path / "big.alg"
+    p.write_text("gen x : 3\ngen y : 2^20000+1\n")
+    message = f"power has more than {sys.get_int_max_str_digits()} digits (line 2, column 10)\n"
+    for argv in (("dim",), ("--json", "dim"), ("check",)):
+        assert run(capsys, *argv, str(p)) == (USAGE, "", message)
+
+
 @pytest.mark.parametrize("command,spec,flag", [
     ("betti", "cp(n=2)", "--max-degree"),
     ("spectrum", "lemma(i=0)", "--case-depth"),

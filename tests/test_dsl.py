@@ -254,16 +254,32 @@ GX_GY = "gen x : 2\ngen y : 3\n"
     (GX_GY + "d y = x^2\n", "g x = 2*x\n", "expected: f NAME = EXPR", 1, 1),
     (GX_GY + "d y = x^1" + "0" * 5000 + "\n", None,
      f"integer literal has more than {sys.get_int_max_str_digits()} digits", 3, 9),
+    ("gen x : 3\ngen y : 2^20000+1\n", None,
+     f"power has more than {sys.get_int_max_str_digits()} digits", 2, 10),
+    # refused from the exponent alone: the power is never formed
+    ("gen x : 3\ngen y : 2^99999999999\n", None,
+     f"power has more than {sys.get_int_max_str_digits()} digits", 2, 10),
+    (GX_GY + "d y = (1/3)^9100*x^2\n", None,
+     f"power has more than {sys.get_int_max_str_digits()} digits", 3, 12),
 ], ids=["param-number-name", "param-without-equals", "param-fraction", "gen-without-colon",
         "d-without-equals", "unknown-statement", "trailing-input", "symbolic-exponent",
         "unexpected-token", "unclosed-parenthesis", "numeric-differential", "not-f",
-        "integer-past-the-digit-limit"])
+        "integer-past-the-digit-limit", "power-past-the-digit-limit", "huge-exponent",
+        "rational-power-past-the-digit-limit"])
 def test_parse_errors_name_message_line_and_column(text, morphism, message, line, col):
     with pytest.raises(ParseError) as exc:
         alg = parse_algebra(text).algebra
         parse_morphism(alg, morphism)
     assert str(exc.value) == f"{message} (line {line}, column {col})"
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_a_power_just_under_the_digit_limit_parses():
+    limit = sys.get_int_max_str_digits()
+    y = parse_algebra(f"gen x : 3\ngen y : 10^{limit - 1} + 1\n").algebra.generators[1]
+    assert y.degree == 10 ** (limit - 1) + 1
+    with pytest.raises(ParseError, match="power has more than"):
+        parse_algebra(f"gen x : 3\ngen y : 10^{limit} + 1\n")
 
 
 def test_zero_differential_parses_as_zero():

@@ -5,6 +5,8 @@ from math import gcd
 
 import pytest
 from sympy import integer_nthroot
+from sympy.polys import groebnertools
+from sympy.polys.rings import PolyElement
 
 from conftest import ALL_KEYS, PRODUCT_PAIRS, built, canonical_rational, certified, product
 from minmod import endo
@@ -469,6 +471,24 @@ def test_each_blocking_polynomial_is_factored_once_per_spectrum(monkeypatch):
     # the cache belongs to one exploration: a second spectrum factors again
     degree_spectrum(prod, pvol, SolverConfig(node_budget=400))
     assert len(calls) == 46
+
+
+def test_lower_grading_square_is_solved_without_sympy_factoring_or_bases(monkeypatch):
+    # every constraint it factors is an irreducible binomial by rule, and
+    # every residual degree divides to 0 by the case's own constraints
+    calls = []
+    factor_list, groebner = PolyElement.factor_list, groebnertools.groebner
+    monkeypatch.setattr(PolyElement, "factor_list",
+                        lambda f: calls.append("factor_list") or factor_list(f))
+    monkeypatch.setattr(groebnertools, "groebner",
+                        lambda *a: calls.append("groebner") or groebner(*a))
+    prod, pvol = product(("lower-grading", {}), ("lower-grading", {}))
+    v = degree_spectrum(prod, pvol, SolverConfig(node_budget=400))
+    assert calls == []
+    assert v.classification == "Flexible" and not v.complete
+    assert set(v.spectrum) == {0}
+    assert [f.describe() for f in v.families] == ["t1^4*t2^3*t3^4*t4^3"]
+    assert len(v.leaves) == 176
 
 
 def test_witnesses_compose_to_morphisms_of_the_product_degree():

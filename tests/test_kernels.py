@@ -25,7 +25,8 @@ from math import gcd, lcm, prod
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from sympy.polys import groebnertools
 from sympy.polys.polyerrors import CoercionFailed
 
 from conftest import ALL_KEYS, PRODUCT_PAIRS, built, canonical_rational, certified, product
@@ -1219,10 +1220,47 @@ def factored_polynomials(draw):
     return p
 
 
+@st.composite
+def binomials(draw):
+    """content * (c1*m1 + c2*m2), m1 and m2 sharing no unknown: the case
+    tree's usual constraint.  Coefficients are rational of either sign; the
+    cofactor may have one unknown, or every exponent at least 2."""
+    content = draw(st.dictionaries(st.sampled_from(RING_UNKNOWNS), st.integers(1, 3), max_size=2))
+    low = draw(st.sampled_from((1, 2)))
+    unknowns = draw(st.permutations(RING_UNKNOWNS))
+    cut = draw(st.integers(0, len(unknowns)))
+    parts = [{v: draw(st.integers(low, 3)) for v in part if draw(st.booleans())}
+             for part in (unknowns[:cut], unknowns[cut:])]
+    if parts == [{}, {}]:
+        parts[1] = {unknowns[0]: low}
+    terms = {}
+    for m in parts:
+        exps = dict(content)
+        for v, e in m.items():
+            exps[v] = exps.get(v, 0) + e
+        terms[tuple(sorted(exps.items()))] = draw(RATIONALS)
+    return MPoly(terms)
+
+
+def from_text(expr):
+    return reference_from_sympy(sympy.sympify(expr.replace("^", "**")))
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(st.one_of(factored_polynomials(), small_polynomials(max_terms=4, max_exp=3)))
 def test_factor_constraint_matches_expr_path_in_order(p):
     # the same factors in the same order, as the case tree branches in it
+    assert factor_constraint(p) == reference_factor_constraint(p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(binomials())
+@example(from_text("k3^2*k14*(k2 - 2/3*k10^2)"))   # content, rational coefficient
+@example(from_text("k10*k3 - 2/3*k2"))             # k2 < k10 leads, with a negative coefficient
+@example(from_text("k2^2*k10^3 - 1"))              # every exponent >= 2
+@example(from_text("k3*k14*(k2^2 - k10^2)"))       # ... and reducible
+@example(from_text("k14^2*(2*k10 - 1)"))           # a one-unknown cofactor
+def test_factor_constraint_matches_expr_path_on_binomials(p):
     assert factor_constraint(p) == reference_factor_constraint(p)
 
 
@@ -1252,7 +1290,7 @@ def test_reduce_modulo_matches_expr_path(p, polys):
     ("k5*k3*(2*k3 - k5)^2", ["k3", "k5", "2*k3 - k5"]),             # content ties: name order
 ], ids=["content-first", "sympy-generator-order", "multiplicity", "dense-rep", "repeated"])
 def test_factor_constraint_order_is_pinned(expr, want):
-    p = reference_from_sympy(sympy.sympify(expr.replace("^", "**")))
+    p = from_text(expr)
     assert [str(f) for f in factor_constraint(p)] == want
 
 
@@ -1262,3 +1300,18 @@ def test_reduce_modulo_works_over_the_rationals():
     assert reduce_modulo(k1 ** 2, [Fraction(2, 3) * k1 - 1, k2]) == Fraction(9, 4)
     # the Expr path raised CoercionFailed here: integral constraints, rational p
     assert reduce_modulo(k1 * Fraction(1, 2), [k1 - 3]) == Fraction(3, 2)
+
+
+def test_reduce_modulo_builds_a_basis_only_when_division_leaves_a_remainder(monkeypatch):
+    bases = []
+    build = groebnertools.groebner
+    monkeypatch.setattr(groebnertools, "groebner", lambda *a: bases.append(a) or build(*a))
+    x, y = MPoly.var("x"), MPoly.var("y")
+    # a multiple of the constraints: division by them alone leaves 0
+    assert reduce_modulo(x * y ** 2 - y, [x * y - 1, y ** 2 - 1]) == MPoly()
+    assert not bases
+    # x*(y^2 - 1) is in the ideal, but dividing by x*y - 1 first leaves y - x
+    assert reduce_modulo(x * y ** 2 - x, [x * y - 1, y ** 2 - 1]) == MPoly()
+    assert len(bases) == 1
+    assert reduce_modulo(x * y ** 2 - x, [x * y - 1, y ** 2 - 1]) == reference_reduce_modulo(
+        x * y ** 2 - x, [x * y - 1, y ** 2 - 1])
